@@ -8,7 +8,6 @@
 #include "bbcache/bb_cache.hpp"
 #include "core/cluster_epoch.hpp"
 #include "predict/width_predictor.hpp"
-#include "util/slot_schedule.hpp"
 #include "sample/spec.hpp"
 #include "sample/windowed.hpp"
 #include "sim/simulator.hpp"
@@ -138,29 +137,6 @@ void BM_ClusterEpoch(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<i64>(state.iterations()));
 }
 BENCHMARK(BM_ClusterEpoch);
-
-void BM_SlotScheduleRef(benchmark::State& state) {
-  // The legacy triple (SlotSchedule + QueueTracker + copy SlotSchedule)
-  // under the identical dispatch stream: the per-probe reference for
-  // BM_ClusterEpoch, kept alive by the HCSIM_EPOCH=0 path.
-  SlotSchedule slots(3, 2);
-  QueueTracker queue(32);
-  Tick from = 0;
-  u32 x = 1;
-  u64 sum = 0;
-  for (auto _ : state) {
-    x = x * 1664525u + 1013904223u;
-    from += x % 3;
-    const Tick qdisp = queue.earliest_dispatch(from);
-    const Tick src = from + (x >> 16) % 8;
-    const Tick issue = slots.reserve(src > qdisp ? src : qdisp);
-    queue.add(issue);
-    sum += issue;
-  }
-  benchmark::DoNotOptimize(sum);
-  state.SetItemsProcessed(static_cast<i64>(state.iterations()));
-}
-BENCHMARK(BM_SlotScheduleRef);
 
 void BM_WidthPredictorTrain(benchmark::State& state) {
   WidthPredictor p;

@@ -2,8 +2,8 @@
 # Daemon smoke (ctest): start hcsimd on a scratch socket, drive it with
 # hcsim_sweep --connect, and demand the fig06 grid's CSV be byte-identical
 # to the in-process run. Also covers the sweep CLI contract: --list prints
-# the registry, unknown sweep names exit 2 with a diagnostic, and
-# --connect --shutdown stops the daemon.
+# the registry, unknown sweep names and out-of-range --timeout-ms exit 2
+# with a diagnostic, and --connect --shutdown stops the daemon.
 # Usage: daemon_smoke.sh <hcsimd> <hcsim_sweep> <work_dir>
 set -euo pipefail
 
@@ -37,6 +37,25 @@ if [ "$rc" -ne 2 ]; then
   echo "--shutdown without --connect: expected exit 2, got $rc" >&2
   exit 1
 fi
+
+# --timeout-ms is an int millisecond deadline, so values above INT_MAX are a
+# usage error rather than a wrapped deadline (4294967296 would become 0 ms,
+# 3000000000 a negative "block forever"). INT_MAX itself is accepted: the
+# dead socket then falls back in-process.
+for bad in 2147483648 3000000000 4294967296; do
+  set +e
+  "$SWEEP" smoke --quiet --connect "$WORK_DIR/nope.sock" --timeout-ms "$bad" \
+    2> "$WORK_DIR/timeout.err" > /dev/null
+  rc=$?
+  set -e
+  if [ "$rc" -ne 2 ]; then
+    echo "--timeout-ms $bad: expected exit 2, got $rc" >&2
+    exit 1
+  fi
+  grep -q "exceeds the limit" "$WORK_DIR/timeout.err"
+done
+"$SWEEP" smoke --quiet --connect "$WORK_DIR/nope.sock" --timeout-ms 2147483647 \
+  --retry 1 --retry-backoff-ms 10 2> /dev/null > /dev/null
 
 # --connect to a socket nobody listens on: the fault-tolerant client retries,
 # then falls back to in-process execution (exit 0). With --no-fallback the

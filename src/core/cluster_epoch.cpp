@@ -1,31 +1,6 @@
 #include "core/cluster_epoch.hpp"
 
-#include <cstdlib>
-
 namespace hcsim {
-
-namespace {
-
-/// -1 = follow the environment; 0/1 = forced by epoch_set_enabled.
-int g_epoch_override = -1;
-
-bool env_epoch_enabled() {
-  static const bool enabled = [] {
-    const char* v = std::getenv("HCSIM_EPOCH");
-    return v == nullptr || (v[0] != '0' || v[1] != '\0');
-  }();
-  return enabled;
-}
-
-}  // namespace
-
-bool epoch_enabled_default() {
-  const int o = g_epoch_override;
-  return o < 0 ? env_epoch_enabled() : o != 0;
-}
-
-void epoch_set_enabled(bool on) { g_epoch_override = on ? 1 : 0; }
-void epoch_reset_enabled() { g_epoch_override = -1; }
 
 void ClusterEpoch::init(unsigned issue_width, unsigned queue_size,
                         unsigned copy_ports, Tick cycle_ticks) {

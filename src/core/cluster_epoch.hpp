@@ -21,12 +21,13 @@
 //     single call so the whole per-µop resource interaction touches one
 //     object whose hot header shares a cache line.
 //
-// Semantics are tick-exact with the legacy pair by construction — the same
-// window length, the same GC-horizon truncation, the same queue-full walk
-// with the same (answer, slack) amortization, the same "already departed"
-// add guard — and enforced by the differential fuzz in
-// tests/test_cluster_epoch.cpp plus the golden sweeps run with the engine
-// on and off (the HCSIM_EPOCH=0 kill switch selects the legacy structures).
+// Semantics are tick-exact with the separate structures by construction —
+// the same window length, the same GC-horizon truncation, the same
+// queue-full walk with the same (answer, slack) amortization, the same
+// "already departed" add guard — and enforced by the differential fuzz in
+// tests/test_cluster_epoch.cpp, whose oracle is SlotSchedule plus the
+// test-side QueueTracker (tests/queue_tracker.hpp), and by the golden
+// sweeps captured before the fusion.
 #pragma once
 
 #include <bit>
@@ -38,24 +39,18 @@
 
 namespace hcsim {
 
-/// Resolve the HCSIM_EPOCH environment default (unset/non-zero = enabled),
-/// unless overridden by epoch_set_enabled. Read once per Pipeline.
-bool epoch_enabled_default();
-/// Test/debug override; trumps the environment until epoch_reset_enabled.
-void epoch_set_enabled(bool on);
-void epoch_reset_enabled();
-
 class ClusterEpoch {
  public:
   /// An engine with no storage; init() before use. (Pipeline embeds one per
-  /// backend by value and only materializes them when the engine is on.)
+  /// backend by value.)
   ClusterEpoch() = default;
 
   /// `copy_ports` == 0 means the cluster schedules no copies (FP).
   void init(unsigned issue_width, unsigned queue_size, unsigned copy_ports,
             Tick cycle_ticks);
 
-  /// Fused per-µop resource interaction, equivalent to the legacy sequence
+  /// Fused per-µop resource interaction, equivalent to the separate-structure
+  /// sequence
   ///   qdisp = queue.earliest_dispatch(from);
   ///   ready = max(src_ready, qdisp);
   ///   issue = slots.reserve(ready);

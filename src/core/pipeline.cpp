@@ -37,30 +37,12 @@ Pipeline::Pipeline(const MachineConfig& cfg, const Program& program,
       memsys_(cfg.mem),
       fetch_slots_(cfg.fetch_width, cfg.ticks_per_wide_cycle),
       rename_slots_(cfg.rename_width, cfg.ticks_per_wide_cycle),
-      rename_mono_slots_(cfg.rename_width, cfg.ticks_per_wide_cycle),
       commit_slots_(cfg.commit_width, cfg.ticks_per_wide_cycle) {
-  epoch_on_ = epoch_enabled_default();
-  if (epoch_on_) {
-    epochs_[kWideIdx].init(cfg.issue_wide, cfg.iq_wide, cfg.copy_ports,
-                           cfg.ticks_per_wide_cycle);
-    epochs_[kHelperIdx].init(cfg.issue_helper, cfg.iq_helper, cfg.copy_ports,
-                             Tick{1});
-    epochs_[kFpIdx].init(cfg.issue_fp, cfg.iq_fp, /*copy_ports=*/0,
+  epochs_[kWideIdx].init(cfg.issue_wide, cfg.iq_wide, cfg.copy_ports,
                          cfg.ticks_per_wide_cycle);
-  } else {
-    issue_slots_[kWideIdx] =
-        std::make_unique<SlotSchedule>(cfg.issue_wide, cfg.ticks_per_wide_cycle);
-    issue_slots_[kHelperIdx] =
-        std::make_unique<SlotSchedule>(cfg.issue_helper, Tick{1});
-    issue_slots_[kFpIdx] =
-        std::make_unique<SlotSchedule>(cfg.issue_fp, cfg.ticks_per_wide_cycle);
-    queues_[kWideIdx] = std::make_unique<QueueTracker>(cfg.iq_wide);
-    queues_[kHelperIdx] = std::make_unique<QueueTracker>(cfg.iq_helper);
-    queues_[kFpIdx] = std::make_unique<QueueTracker>(cfg.iq_fp);
-    copy_slots_[kWideIdx] =
-        std::make_unique<SlotSchedule>(cfg.copy_ports, cfg.ticks_per_wide_cycle);
-    copy_slots_[kHelperIdx] = std::make_unique<SlotSchedule>(cfg.copy_ports, Tick{1});
-  }
+  epochs_[kHelperIdx].init(cfg.issue_helper, cfg.iq_helper, cfg.copy_ports, Tick{1});
+  epochs_[kFpIdx].init(cfg.issue_fp, cfg.iq_fp, /*copy_ports=*/0,
+                       cfg.ticks_per_wide_cycle);
   regs_ = std::make_unique<std::array<RegState, kNumRegs>>();
   rob_commit_.assign(cfg.rob_entries, 0);
   cp_window_.assign(2 * cfg.rob_entries, CpTrainEntry{});
@@ -73,19 +55,13 @@ Pipeline::Pipeline(const MachineConfig& cfg, const Program& program,
   wt_shift_ = static_cast<unsigned>(std::countr_zero(static_cast<u64>(wide_ticks())));
   // decide() consults issue-queue occupancy only for the IR imbalance
   // trigger and the balance throttle; skipping the occupancy probes
-  // otherwise is output-invisible because QueueTracker's lazy drain is
+  // otherwise is output-invisible because the queue ledger's lazy drain is
   // monotonic — any later query drains at least as far.
   needs_occ_ = cfg.steer.helper_enabled && (cfg.steer.ir || cfg.steer.balance_throttle);
   cr_on_ = cfg.steer.cr;
   lr_on_ = cfg.steer.lr;
   cp_on_ = cfg.steer.cp;
   ir_block_on_ = cfg.steer.ir_block;
-  // Out-of-band rename reserves (split, flush refill) exist only with the
-  // helper on, but even those are non-decreasing in the *requested* tick
-  // (dispatch backpressure covers the flush refill), so the epoch engine
-  // uses the two-word monotonic counter unconditionally. The legacy path
-  // keeps the ring ledger for helper configs as the reference behaviour.
-  rename_mono_ = epoch_on_ || !cfg.steer.helper_enabled;
 
   cache_ = shared_cache ? shared_cache : &own_cache_;
   cache_on_ = cache_->enabled();
@@ -111,8 +87,7 @@ Tick Pipeline::schedule_copy(unsigned from, unsigned to, Tick request_tick,
   // is written.
   res_.counters[Counter::kCopyRenameSlots]++;
   const Tick ready = std::max(request_tick, value_ready);
-  const Tick issue = epoch_on_ ? epochs_[from].reserve_copy(ready)
-                               : copy_slots_[from]->reserve(ready);
+  const Tick issue = epochs_[from].reserve_copy(ready);
   const Tick done =
       issue + cycle_ticks(from) + cfg_.copy_transfer_cycles * wide_ticks();
   ++res_.copies;
@@ -224,9 +199,7 @@ void Pipeline::account_nready(unsigned cluster, bool eligible_other, Tick ready,
   // tick-stepping loop silently gave up after 64 samples and, stepping by
   // the slower cluster's cycle, skipped half the fast-clock cycles).
   const unsigned other = (cluster == kHelperIdx) ? kWideIdx : kHelperIdx;
-  const SlotRangeProbe probe = epoch_on_
-                                   ? epochs_[other].free_issue_slot_in(ready, issue)
-                                   : issue_slots_[other]->free_slot_in(ready, issue);
+  const SlotRangeProbe probe = epochs_[other].free_issue_slot_in(ready, issue);
   if (probe.truncated) res_.counters[Counter::kNreadyTruncations]++;
   if (probe.free) {
     if (cluster == kWideIdx)
@@ -273,8 +246,7 @@ void Pipeline::feed_record(const TraceRecord& rec, const UopTemplate& t,
   stage = rename_binds ? 3u : stage;
   rename_ready = rename_binds ? last_dispatch_ : rename_ready;
   res_.counters[kStallByStage[stage]]++;
-  const Tick disp = rename_mono_ ? rename_mono_slots_.reserve(rename_ready)
-                                 : rename_slots_.reserve(rename_ready);
+  const Tick disp = rename_slots_.reserve(rename_ready);
   last_dispatch_ = disp;
 
   const bool tracked = t.tracked;
@@ -351,13 +323,8 @@ void Pipeline::feed_record(const TraceRecord& rec, const UopTemplate& t,
           (*regs_)[kRegFlags].producer_cluster == kHelperIdx;
     }
     if (needs_occ_) {
-      if (epoch_on_) {
-        ctx.iq_occ_wide = epochs_[kWideIdx].occupancy(disp);
-        ctx.iq_occ_helper = epochs_[kHelperIdx].occupancy(disp);
-      } else {
-        ctx.iq_occ_wide = queues_[kWideIdx]->occupancy(disp);
-        ctx.iq_occ_helper = queues_[kHelperIdx]->occupancy(disp);
-      }
+      ctx.iq_occ_wide = epochs_[kWideIdx].occupancy(disp);
+      ctx.iq_occ_helper = epochs_[kHelperIdx].occupancy(disp);
       ctx.iq_size_wide = cfg_.iq_wide;
       ctx.iq_size_helper = cfg_.iq_helper;
     }
@@ -414,18 +381,7 @@ void Pipeline::feed_record(const TraceRecord& rec, const UopTemplate& t,
     Tick src_ready = from_tick;
     for (u8 j = 0; j < t.n_srcs; ++j)
       src_ready = std::max(src_ready, acquire_value(t.srcs[j], cluster, from_tick));
-    Tick qdisp, ready, issue;
-    if (epoch_on_) [[likely]] {
-      const ClusterEpoch::Dispatched d = epochs_[cluster].dispatch(from_tick, src_ready);
-      qdisp = d.qdisp;
-      ready = d.ready;
-      issue = d.issue;
-    } else {
-      qdisp = queues_[cluster]->earliest_dispatch(from_tick);
-      ready = std::max(src_ready, qdisp);
-      issue = issue_slots_[cluster]->reserve(ready);
-      queues_[cluster]->add(issue);
-    }
+    const auto [qdisp, ready, issue] = epochs_[cluster].dispatch(from_tick, src_ready);
     // Dispatch is in order: a full issue queue backpressures the frontend
     // for younger µops as well.
     dispatch_backpressure_ = std::max(dispatch_backpressure_, qdisp);
@@ -464,11 +420,7 @@ void Pipeline::feed_record(const TraceRecord& rec, const UopTemplate& t,
     ++res_.split_uops;
     res_.chunk_uops += 4;
     res_.counters[Counter::kChunkRenameSlots] += 3;
-    if (rename_mono_) {
-      for (unsigned k = 0; k < 3; ++k) (void)rename_mono_slots_.reserve(disp);
-    } else {
-      for (unsigned k = 0; k < 3; ++k) (void)rename_slots_.reserve(disp);
-    }
+    for (unsigned k = 0; k < 3; ++k) (void)rename_slots_.reserve(disp);
 
     Tick src_ready = disp;
     for (u8 j = 0; j < t.n_srcs; ++j)
@@ -476,20 +428,11 @@ void Pipeline::feed_record(const TraceRecord& rec, const UopTemplate& t,
     // Four chained 8-bit chunks, LSB to MSB, back to back in the helper.
     Tick prev = src_ready;
     for (unsigned k = 0; k < 4; ++k) {
-      Tick qd, iss;
-      if (epoch_on_) [[likely]] {
-        const ClusterEpoch::Dispatched d = epochs_[kHelperIdx].dispatch(disp, prev);
-        qd = d.qdisp;
-        iss = d.issue;
-      } else {
-        qd = queues_[kHelperIdx]->earliest_dispatch(disp);
-        iss = issue_slots_[kHelperIdx]->reserve(std::max(qd, prev));
-        queues_[kHelperIdx]->add(iss);
-      }
-      dispatch_backpressure_ = std::max(dispatch_backpressure_, qd);
+      const ClusterEpoch::Dispatched d = epochs_[kHelperIdx].dispatch(disp, prev);
+      dispatch_backpressure_ = std::max(dispatch_backpressure_, d.qdisp);
       res_.counters[Counter::kIssueHelper]++;
-      if (k == 0) issue = iss;
-      prev = iss + cycle_ticks(kHelperIdx);
+      if (k == 0) issue = d.issue;
+      prev = d.issue + cycle_ticks(kHelperIdx);
     }
     complete = prev;
     cluster = kHelperIdx;
@@ -518,10 +461,7 @@ void Pipeline::feed_record(const TraceRecord& rec, const UopTemplate& t,
                                 : t2.complete;
         fetch_barrier_ = std::max(fetch_barrier_, detect);
         const Tick redisp = detect + frontend_ticks_;
-        if (rename_mono_)
-          (void)rename_mono_slots_.reserve(redisp);
-        else
-          (void)rename_slots_.reserve(redisp);
+        (void)rename_slots_.reserve(redisp);
         t2 = exec_in(kWideIdx, redisp);
         cluster = kWideIdx;
         res_.counters[Counter::kFlushRefills]++;

@@ -31,7 +31,6 @@
 #include "core/cluster_epoch.hpp"
 #include "core/machine_config.hpp"
 #include "core/sim_result.hpp"
-#include "util/slot_schedule.hpp"
 #include "mem/memory_system.hpp"
 #include "predict/branch_predictor.hpp"
 #include "predict/width_predictor.hpp"
@@ -214,33 +213,20 @@ class Pipeline {
   // strictly in order — every reserve is clamped to the previous result —
   // so they use the two-word MonotonicSlots. Rename's request sequence is
   // non-decreasing too, but the proof for helper configs leans on the
-  // dispatch-backpressure invariant (the split path reserves again at disp;
-  // the flush path reserves at redisp, and exec_in has already raised
+  // dispatch-backpressure invariant: the split path reserves again at disp,
+  // and the flush path reserves at redisp after exec_in has already raised
   // dispatch_backpressure_ to at least that tick, so the next µop cannot
-  // request earlier). The epoch engine relies on that proof and always uses
-  // MonotonicSlots; the legacy path keeps the conservative ring ledger for
-  // helper configs, which doubles as the cross-check — epoch-on and
-  // epoch-off sweeps must be byte-identical.
+  // request earlier. kGolden_cumulative in tests/golden_sweep_data.inc,
+  // captured with a full ring ledger for rename, checks the proof across
+  // the steering ladder.
   MonotonicSlots fetch_slots_;
-  SlotSchedule rename_slots_;
-  MonotonicSlots rename_mono_slots_;
-  bool rename_mono_ = false;
+  MonotonicSlots rename_slots_;
   MonotonicSlots commit_slots_;
 
-  // Per-cluster resources. When the epoch engine is on (HCSIM_EPOCH, the
-  // default) each backend's issue slots + queue ledger + copy ports live in
-  // one by-value ClusterEpoch and the legacy structures below stay
-  // unallocated; HCSIM_EPOCH=0 flips to the per-µop SlotSchedule +
-  // QueueTracker pair, which is the reference model for the differential
-  // fuzz test and the epoch-off golden sweeps.
-  bool epoch_on_ = true;
+  // Per-cluster resources: each backend's issue slots, issue-queue ledger
+  // and copy ports (Section 4: the copy scheme "requires its own scheduling
+  // resources") live in one by-value ClusterEpoch.
   std::array<ClusterEpoch, kNumBackends> epochs_;
-  // Legacy backend issue slots and queue occupancy (epoch off only).
-  std::array<std::unique_ptr<SlotSchedule>, kNumBackends> issue_slots_;
-  std::array<std::unique_ptr<QueueTracker>, kNumBackends> queues_;
-  // Dedicated copy-µop scheduling resources per integer cluster (Section 4:
-  // the copy scheme "requires its own scheduling resources").
-  std::array<std::unique_ptr<SlotSchedule>, kNumIntClusters> copy_slots_;
 
   // Architectural register location/width state (program-order view).
   std::unique_ptr<std::array<RegState, kNumRegs>> regs_;

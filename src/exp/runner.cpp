@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <map>
-#include <optional>
 #include <tuple>
 
 #include "core/pipeline.hpp"
@@ -67,42 +66,17 @@ void ThreadPool::worker_loop() {
 
 namespace {
 
-/// Run all jobs: inline when serial, else on `pool` (or a private pool when
-/// none was supplied). Each job must be independent of the others (they may
-/// run in any order). `cancelled` is polled before each job — queued jobs
-/// still drain through their wrapper, they just skip the work.
-void run_jobs(std::vector<std::function<void()>>& jobs, unsigned threads,
-              ThreadPool* pool, const std::function<bool()>& cancelled) {
-  const auto stop = [&cancelled] { return cancelled && cancelled(); };
-  if (!pool && threads <= 1) {
-    for (auto& job : jobs) {
-      if (stop()) return;
-      job();
-    }
+/// Run all jobs: inline when serial, else on a private pool sized to
+/// `threads`. Each job must be independent of the others (they may run in
+/// any order).
+void run_jobs(std::vector<std::function<void()>>& jobs, unsigned threads) {
+  if (threads <= 1) {
+    for (auto& job : jobs) job();
     return;
   }
-
-  // Per-batch latch, NOT ThreadPool::wait_idle: a shared pool may be running
-  // other batches' jobs concurrently, and this call must only wait for its
-  // own.
-  std::mutex mu;
-  std::condition_variable cv;
-  std::size_t left = jobs.size();
-  if (left == 0) return;
-
-  std::optional<ThreadPool> own;
-  if (!pool) {
-    own.emplace(threads);
-    pool = &*own;
-  }
-  for (auto& job : jobs)
-    pool->submit([&, job = std::move(job)] {
-      if (!stop()) job();
-      std::lock_guard<std::mutex> lock(mu);
-      if (--left == 0) cv.notify_all();
-    });
-  std::unique_lock<std::mutex> lock(mu);
-  cv.wait(lock, [&left] { return left == 0; });
+  ThreadPool pool(threads);
+  for (auto& job : jobs) pool.submit(std::move(job));
+  pool.wait_idle();
 }
 
 }  // namespace
@@ -112,7 +86,6 @@ SweepResult run_sweep(const SweepSpec& spec, const RunOptions& opts) {
 
   unsigned threads = opts.threads;
   if (threads == 0) threads = std::max(1u, std::thread::hardware_concurrency());
-  if (opts.pool) threads = opts.pool->size();
 
   const std::vector<ExperimentPoint> points = expand(spec);
 
@@ -147,7 +120,7 @@ SweepResult run_sweep(const SweepSpec& spec, const RunOptions& opts) {
         cell.sim = simulate_workload(spec.baseline, *cell.profile, cell.n_records);
         cell.power = analyze_power(cell.sim, spec.baseline);
       });
-    run_jobs(jobs, threads, opts.pool, opts.cancelled);
+    run_jobs(jobs, threads);
   }
 
   // Phase 2: one job per point; results land in their index slot, so the
@@ -178,10 +151,9 @@ SweepResult run_sweep(const SweepSpec& spec, const RunOptions& opts) {
           opts.on_point(result.points[p.index], done, points.size());
         }
       });
-    run_jobs(jobs, threads, opts.pool, opts.cancelled);
+    run_jobs(jobs, threads);
   }
 
-  result.cancelled = opts.cancelled && opts.cancelled();
   result.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   return result;

@@ -74,31 +74,16 @@ struct PointResult {
 
 struct RunOptions {
   /// 0 = std::thread::hardware_concurrency(); 1 = serial (no pool).
-  /// Ignored when `pool` is set.
   unsigned threads = 1;
   /// Progress callback, invoked once per finished point (completion order,
   /// serialized — never concurrently). `done` counts finished points.
   std::function<void(const PointResult&, u64 done, u64 total)> on_point;
-  /// Cooperative cancellation, polled between points (a running simulation
-  /// finishes). When it returns true remaining points are skipped and the
-  /// result comes back with `cancelled` set — the daemon wires this to
-  /// "client still connected?".
-  std::function<bool()> cancelled;
-  /// Schedule jobs on an existing pool instead of creating one per call.
-  /// The sweep only waits for its own jobs, so several run_sweep calls may
-  /// share one pool concurrently (hcsimd runs every client's sweeps on a
-  /// single process-wide pool). Not owned.
-  ThreadPool* pool = nullptr;
 };
 
 struct SweepResult {
   std::string sweep;
   unsigned threads_used = 1;
   double wall_seconds = 0.0;
-  /// True when RunOptions::cancelled stopped the run early; `points` then
-  /// contains default-constructed entries for the skipped points and must
-  /// not be reported as a complete sweep.
-  bool cancelled = false;
   /// Always in grid-expansion order (point.index), regardless of the order
   /// points finished in.
   std::vector<PointResult> points;

@@ -11,10 +11,9 @@
 //   - RvMachine: a *resumable* stepper whose full architectural state
 //     (registers, memory, pc, retired count) can be snapshotted and
 //     restored. This is what makes an RV trace producer seekable — the
-//     trace bus (src/bus) and the windowed sampler checkpoint machine
-//     state at window entries so a seek restores the nearest checkpoint
-//     instead of re-executing from the entry point (O(period), not
-//     O(begin)).
+//     windowed sampler checkpoints machine state at window entries so a
+//     seek restores the nearest checkpoint instead of re-executing from the
+//     entry point (O(period), not O(begin)).
 //
 // Halting: ECALL / EBREAK retire and halt, as does a jump to the
 // return-address sentinel (ra is initialized to kRvHaltAddr, so a top-level

@@ -80,19 +80,6 @@ bool Client::round_trip(u8 type, const std::vector<u8>& payload, u8 expect,
   return true;
 }
 
-bool Client::sweep(const SweepRequest& req, SweepResponse& resp, std::string& error) {
-  std::vector<u8> payload;
-  encode(payload, req);
-  Frame reply;
-  if (!round_trip(kSweep, payload, kResult, reply, error)) return false;
-  wire::Reader r(reply.payload.data(), reply.payload.size());
-  if (!decode(r, resp)) {
-    error = "malformed result payload";
-    return false;
-  }
-  return true;
-}
-
 bool Client::list_sweeps(std::vector<std::string>& names, std::string& error) {
   Frame reply;
   if (!round_trip(kListSweeps, {}, kSweepList, reply, error)) return false;
@@ -109,21 +96,9 @@ bool Client::ping(std::string& error) {
   return round_trip(kPing, {}, kPong, reply, error);
 }
 
-bool Client::serve_trace(const ServeTraceRequest& req, std::string& error) {
-  std::vector<u8> payload;
-  encode(payload, req);
-  Frame reply;
-  return round_trip(kServeTrace, payload, kServing, reply, error);
-}
-
 bool Client::shutdown(std::string& error) {
   Frame reply;
   return round_trip(kShutdown, {}, kBye, reply, error);
-}
-
-bool Client::cancel() {
-  if (!ok()) return false;
-  return write_frame(fd_, kCancel, {}, timeout_ms_);
 }
 
 Client::BatchStatus Client::run_jobs(

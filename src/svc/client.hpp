@@ -35,14 +35,10 @@ class Client {
 
   /// Round-trips. Each returns false with `error` set on a protocol error,
   /// daemon-side failure (kError reply), or connection loss.
-  bool sweep(const SweepRequest& req, SweepResponse& resp, std::string& error);
   bool list_sweeps(std::vector<std::string>& names, std::string& error);
   bool ping(std::string& error);
-  bool serve_trace(const ServeTraceRequest& req, std::string& error);
   /// Ask the daemon to exit (waits for the kBye acknowledgement).
   bool shutdown(std::string& error);
-  /// Fire-and-forget cancel of the daemon's in-flight job.
-  bool cancel();
 
   /// How a run_jobs batch ended. kTransport means the connection is dead
   /// (reconnect and re-submit — results already delivered stay delivered);

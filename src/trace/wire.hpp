@@ -1,9 +1,10 @@
 // hcsim — buffer-level v3 trace wire format.
 //
-// One packed encoding of programs and trace records, shared by the file
-// serializer (trace_io.cpp) and the shared-memory trace bus (src/bus): every
-// field is written individually in little-endian order, so the bytes carry
-// no struct padding and are identical across builds and processes. The
+// One packed encoding of programs and trace records, used by the file
+// serializer (trace_io.cpp); the hcsimd protocol (svc/protocol.hpp) reuses
+// its primitives. Every field is written individually in little-endian
+// order, so the bytes carry no struct padding and are identical across
+// builds and processes. The
 // Reader side is bounds-checked and validating — a truncated or corrupt
 // buffer yields `false`, never an out-of-range read or a poisoned Program.
 #pragma once

@@ -1,22 +1,18 @@
-// hcsim — per-cluster issue-slot and queue-occupancy bookkeeping.
+// hcsim — slot ledgers: how many slots each cycle of a resource has used.
 //
-// The pipeline processes µops in program order but µops issue out of order;
-// these helpers track how many issue slots each cluster-cycle has consumed
-// and which issue-queue entries are still occupied, so resource contention
-// is modeled without a tick-by-tick wakeup/select loop.
+// The pipeline processes µops in program order but µops use resources out
+// of order; a slot ledger tracks how many slots each cycle has consumed, so
+// contention is modeled without a tick-by-tick wakeup/select loop.
+// SlotSchedule backs the memory ports (mem/memory_system.hpp) and is the
+// reference model for ClusterEpoch's issue/copy rings; MonotonicSlots backs
+// the in-order fetch, rename and commit stages.
 //
-// Both structures are garbage-collected ring buffers: the per-µop hot path
-// (core/pipeline.cpp) calls reserve()/earliest_dispatch()/has_free_slot()
-// for every dynamic µop, so all operations are allocation-free and O(1)
-// amortized. The previous std::set/std::multiset ledgers paid a node
-// allocation plus a tree rebalance per µop.
-//
-// The per-µop entry points (reserve, earliest_dispatch, add, drain) are
-// defined inline here with their common case open-coded — tick->cycle
-// division is a shift whenever cycle_ticks is a power of two (1 and 2 in
-// every stock configuration; the clock-ratio ablation's 3 falls back to a
-// real divide) — while the cold paths (bitmap scans, GC, growth) stay in
-// slot_schedule.cpp.
+// SlotSchedule is a garbage-collected ring buffer, so every operation is
+// allocation-free and O(1) amortized. reserve() is defined inline with its
+// common case open-coded — tick->cycle division is a shift whenever
+// cycle_ticks is a power of two (1 and 2 in every stock configuration; the
+// clock-ratio ablation's 3 falls back to a real divide) — while the cold
+// paths (bitmap scans, GC) stay in slot_schedule.cpp.
 #pragma once
 
 #include <bit>
@@ -139,7 +135,7 @@ class SlotSchedule {
 /// In-order slot counter: behaviourally identical to SlotSchedule for
 /// callers whose `reserve(earliest)` argument never precedes the previously
 /// returned tick — the fetch and commit stages, which clamp each request to
-/// their last result. Monotonicity collapses the ring + bitmap + GC to two
+/// their last result, and rename (core/pipeline.hpp has the proof). Monotonicity collapses the ring + bitmap + GC to two
 /// words of state: the current cycle and its occupancy.
 class MonotonicSlots {
  public:
@@ -175,100 +171,6 @@ class MonotonicSlots {
   unsigned shift_ = 0;
   u64 cycle_ = 0;
   unsigned used_ = 0;
-};
-
-/// Issue-queue occupancy tracker: entries are held from dispatch until
-/// issue. `earliest_dispatch` computes when a new µop can enter given the
-/// queue size, and `occupancy` supports the IR imbalance trigger.
-///
-/// Occupancy mutates only through add() and the lazy drain of entries whose
-/// issue tick has passed — earliest_dispatch() is a pure query. (The old
-/// multiset version erased the earliest occupant inside earliest_dispatch,
-/// so a caller that probed without dispatching — e.g. the flush/re-steer
-/// path running exec_in twice — silently freed a queue slot.)
-class QueueTracker {
- public:
-  explicit QueueTracker(unsigned size)
-      : size_(size),
-        ring_(kInitialTicks, 0),
-        occ_(kInitialTicks / 64, 0),
-        mask_(kInitialTicks - 1) {
-    HCSIM_CHECK(size_ > 0, "QueueTracker size must be positive");
-  }
-
-  /// Given that the µop wants to dispatch at `tick`, return the earliest
-  /// tick >= `tick` when the queue has a free entry. Pure query: the entry
-  /// is recorded only by the subsequent add().
-  Tick earliest_dispatch(Tick tick) {
-    drain(tick);
-    if (live_ < size_) [[likely]] return tick;
-    return earliest_dispatch_full();
-  }
-
-  /// Record a dispatched µop that will issue (leave the queue) at `issue`.
-  void add(Tick issue) {
-    // An issue tick at or below the drain head already "left" the queue: by
-    // the time any later query observes the tracker, its drain would have
-    // retired this entry anyway.
-    if (issue < head_) [[unlikely]] return;
-    if (issue - head_ > mask_) [[unlikely]] grow(issue);
-    const u64 pos = issue & mask_;
-    if (ring_[pos]++ == 0) occ_[pos >> 6] |= u64{1} << (pos & 63);
-    ++live_;
-    if (issue >= tail_) tail_ = issue + 1;
-    // Queue-full cache: an add beyond the cached answer raises the required
-    // departures without raising the departures available by then; an add at
-    // or before it raises both equally.
-    if (issue > full_at_) --full_slack_;
-  }
-
-  /// Occupancy as seen at tick `t` (after the lazy drain).
-  unsigned occupancy(Tick t) {
-    drain(t);
-    return static_cast<unsigned>(live_);
-  }
-
-  unsigned size() const { return size_; }
-
- private:
-  /// Initial ring span in ticks; must be a power of two and a multiple of
-  /// 64 (the occupancy bitmap relies on word-contiguous positions). Grows
-  /// by doubling when an issue tick lands beyond the window.
-  static constexpr u64 kInitialTicks = u64{1} << 16;
-  static_assert(kInitialTicks % 64 == 0);
-
-  /// Retire entries with issue <= t. Empty queues only move the head.
-  void drain(Tick t) {
-    const Tick target = t + 1;
-    if (target <= head_) return;
-    if (live_ == 0) {
-      head_ = target;
-      return;
-    }
-    drain_slow(target);
-  }
-
-  void drain_slow(Tick target);
-  Tick earliest_dispatch_full() const;  // the queue-full walk
-  void grow(Tick issue);
-  /// First tick >= `from` whose bucket is occupied; `tail_` if none.
-  Tick next_occupied(Tick from) const;
-
-  unsigned size_;
-  std::vector<u32> ring_;  // per-tick count of entries issuing at that tick
-  std::vector<u64> occ_;   // bitmap: bucket non-empty (skip 64 ticks at a time)
-  u64 mask_;
-  Tick head_ = 0;  // every tick < head_ has been drained
-  Tick tail_ = 0;  // one past the largest issue tick recorded
-  u64 live_ = 0;   // entries currently in the queue
-
-  // Queue-full answer cache (see earliest_dispatch_full): `full_at_` is the
-  // last computed answer and `full_slack_` is (departures by full_at_) minus
-  // (departures required for a free entry). The answer only ever moves
-  // forward, so repairs resume from the cache instead of rewalking from
-  // head_. Mutable: the cache is invisible to the query semantics.
-  mutable Tick full_at_ = 0;
-  mutable i64 full_slack_ = -1;
 };
 
 }  // namespace hcsim

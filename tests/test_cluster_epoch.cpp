@@ -1,8 +1,8 @@
 // Differential tests for the fused per-cluster epoch engine.
 //
-// ClusterEpoch replaces the SlotSchedule + QueueTracker + SlotSchedule
-// triple on the pipeline hot path; the legacy structures stay behind the
-// HCSIM_EPOCH=0 kill switch and double here as the reference model. The
+// ClusterEpoch replaced the SlotSchedule + QueueTracker + SlotSchedule
+// triple on the pipeline hot path; that triple (SlotSchedule from src/, the
+// per-tick QueueTracker from queue_tracker.hpp) is the reference model. The
 // fuzz drives both through long randomized sequences shaped like the
 // pipeline's actual usage — mostly-forward dispatch ticks with occasional
 // far jumps, source-ready ticks that sometimes land far in the future,
@@ -15,13 +15,15 @@
 #include <algorithm>
 
 #include "core/cluster_epoch.hpp"
+#include "queue_tracker.hpp"
 #include "util/rng.hpp"
 #include "util/slot_schedule.hpp"
 
 namespace hcsim {
 namespace {
 
-/// The legacy triple with the exact call sequence pipeline.cpp used.
+/// The separate-structure triple with the exact call sequence pipeline.cpp
+/// used before the fusion.
 struct ReferenceCluster {
   SlotSchedule slots;
   QueueTracker queue;

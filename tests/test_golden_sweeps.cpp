@@ -3,11 +3,12 @@
 // bit-identical to the pre-refactor simulator. The embedded CSVs were
 // captured from the seed implementation (std::map counters + std::set
 // ledgers); the fig06/fig12/rv named sweeps must reproduce them
-// byte-for-byte, serially and on the thread pool.
+// byte-for-byte, serially and on the thread pool. The cumulative golden was
+// captured later from the separate-structure scheduler (see its comment in
+// golden_sweep_data.inc) and pins the fused engine's monotonic rename.
 #include <gtest/gtest.h>
 
 #include "bbcache/bb_cache.hpp"
-#include "core/cluster_epoch.hpp"
 #include "core/pipeline.hpp"
 #include "exp/report.hpp"
 #include "exp/runner.hpp"
@@ -55,6 +56,14 @@ TEST(GoldenSweeps, RvMatchesSeedThreaded) {
   EXPECT_EQ(sweep_csv("rv", 4), kGolden_rv);
 }
 
+TEST(GoldenSweeps, CumulativeMatchesSeedSerial) {
+  EXPECT_EQ(sweep_csv("cumulative", 1), kGolden_cumulative);
+}
+
+TEST(GoldenSweeps, CumulativeMatchesSeedThreaded) {
+  EXPECT_EQ(sweep_csv("cumulative", 4), kGolden_cumulative);
+}
+
 /// RAII decode-cache disable (restores the env-derived default on exit).
 struct BbCacheOff {
   BbCacheOff() { bbcache_set_enabled(false); }
@@ -80,59 +89,21 @@ TEST(GoldenSweeps, RvMatchesSeedCacheDisabledThreaded) {
   EXPECT_EQ(sweep_csv("rv", 4), kGolden_rv);
 }
 
-// Cross-check without goldens: the cumulative sweep (every steering-ladder
-// rung, so every invalidation edge between configs) emits identical CSVs
-// with the cache enabled and disabled.
+// The cumulative sweep runs every steering-ladder rung, so it crosses every
+// invalidation edge between configs: it must match its golden with the
+// cache disabled too.
 TEST(GoldenSweeps, CumulativeCacheOnOffIdentical) {
-  const std::string with_cache = sweep_csv("cumulative", 1);
   BbCacheOff off;
-  EXPECT_EQ(sweep_csv("cumulative", 1), with_cache);
-}
-
-/// RAII epoch-engine disable: routes every resource probe through the
-/// legacy SlotSchedule/QueueTracker structures (the HCSIM_EPOCH=0 path).
-struct EpochOff {
-  EpochOff() { epoch_set_enabled(false); }
-  ~EpochOff() { epoch_reset_enabled(); }
-};
-
-// The fused per-cluster epoch engine must be output-invisible: with it
-// disabled the goldens still reproduce byte-for-byte, so any divergence
-// between the engine and the legacy triple is a modeling bug, not a
-// "new baseline".
-TEST(GoldenSweeps, Fig06MatchesSeedEpochDisabled) {
-  EpochOff off;
-  EXPECT_EQ(sweep_csv("fig06", 1), kGolden_fig06);
-}
-
-TEST(GoldenSweeps, Fig12MatchesSeedEpochDisabled) {
-  EpochOff off;
-  EXPECT_EQ(sweep_csv("fig12", 1), kGolden_fig12);
-}
-
-TEST(GoldenSweeps, RvMatchesSeedEpochDisabledThreaded) {
-  EpochOff off;
-  EXPECT_EQ(sweep_csv("rv", 4), kGolden_rv);
-}
-
-TEST(GoldenSweeps, CumulativeEpochOnOffIdentical) {
-  const std::string with_engine = sweep_csv("cumulative", 1);
-  EpochOff off;
-  EXPECT_EQ(sweep_csv("cumulative", 1), with_engine);
+  EXPECT_EQ(sweep_csv("cumulative", 1), kGolden_cumulative);
 }
 
 // The NREADY range probes behind the goldens must classify every gap
 // exactly: a nonzero truncation count means the GC horizon clipped a probe
-// and the imbalance statistics silently degraded to a lower bound. Both
-// engines share the window constant, so both must report zero.
+// and the imbalance statistics silently degraded to a lower bound.
 TEST(GoldenSweeps, HelperSweepHasNoNreadyTruncation) {
   const Trace t = generate_trace(spec_profile("gcc"), 30000);
-  const SimResult with_engine = simulate(helper_machine(steering_888()), t);
-  EXPECT_EQ(with_engine.counters.get("nready_truncations"), 0u);
-  EpochOff off;
-  const SimResult legacy = simulate(helper_machine(steering_888()), t);
-  EXPECT_EQ(legacy.counters.get("nready_truncations"), 0u);
-  EXPECT_EQ(legacy.final_tick, with_engine.final_tick);
+  const SimResult r = simulate(helper_machine(steering_888()), t);
+  EXPECT_EQ(r.counters.get("nready_truncations"), 0u);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Tests for the issue-slot ledger and issue-queue occupancy tracker.
 #include <gtest/gtest.h>
 
+#include "queue_tracker.hpp"
 #include "util/slot_schedule.hpp"
 
 namespace hcsim {

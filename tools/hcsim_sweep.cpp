@@ -29,7 +29,7 @@
 // is byte-identical to an uninterrupted in-process run no matter how the
 // transport behaved. --compare-full needs per-point data and is not
 // available in fault-tolerant mode. --timeout-ms bounds each protocol frame
-// (default: block forever).
+// (default: block forever; at most INT_MAX).
 //
 // Exit codes: 0 success; 1 runtime failure (I/O, --max-rel-err exceeded);
 // 2 usage error or unknown sweep; 3 connect/transport failure after retries
@@ -41,6 +41,7 @@
 // environment. --compare-full additionally runs the full (unsampled) sweep
 // and prints the sampled-vs-full error table; with --max-rel-err X the exit
 // status is 1 when any metric's worst relative error exceeds X.
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -250,6 +251,12 @@ int main(int argc, char** argv) {
       retry_backoff_ms = parse_u64("--retry-backoff-ms", next(), /*allow_zero=*/true);
     } else if (arg == "--timeout-ms") {
       timeout_ms = parse_u64("--timeout-ms", next(), /*allow_zero=*/false);
+      // The client's deadlines are int milliseconds (poll(2)).
+      if (timeout_ms > static_cast<u64>(INT_MAX)) {
+        std::fprintf(stderr, "--timeout-ms: %llu exceeds the limit of %d\n",
+                     static_cast<unsigned long long>(timeout_ms), INT_MAX);
+        return 2;
+      }
     } else if (arg == "--no-fallback") {
       no_fallback = true;
     } else if (arg == "--shutdown") {
