@@ -1,6 +1,8 @@
 # CLI round-trip test (ctest): generate a trace twice, dump both, and demand
-# byte-identical artifacts; also smoke the hcrv frontend on a bundled kernel.
-# Variables: GEN (hctrace_gen), DUMP (hctrace_dump), HCRV (hcrv), WORK_DIR.
+# byte-identical artifacts; also smoke the hcrv frontend on a bundled kernel
+# and check that bad integer options are rejected with exit 2.
+# Variables: GEN (hctrace_gen), DUMP (hctrace_dump), HCRV (hcrv),
+# SWEEP (hcsim_sweep), RUN (hcsim_run), BENCH (hcsim_bench), WORK_DIR.
 
 file(REMOVE_RECURSE ${WORK_DIR})
 file(MAKE_DIRECTORY ${WORK_DIR})
@@ -60,5 +62,27 @@ string(FIND "${rv_dump}" "trace 'crc32'" rv_found)
 if(rv_found EQUAL -1)
   message(FATAL_ERROR "hctrace_dump could not identify the hcrv trace:\n${rv_dump}")
 endif()
+
+# Integer options are strict: a sign, overflow past 2^64-1 or a value that
+# would narrow must be a usage error, never a wrapped or clamped value (a
+# wrapped --len -1 would run until killed).
+function(expect_usage_error)
+  execute_process(COMMAND ${ARGV} RESULT_VARIABLE rc
+                  WORKING_DIRECTORY ${WORK_DIR}
+                  OUTPUT_VARIABLE out ERROR_VARIABLE err TIMEOUT 60)
+  if(NOT rc EQUAL 2)
+    message(FATAL_ERROR "expected exit 2, got ${rc}: ${ARGV}\n${out}\n${err}")
+  endif()
+endfunction()
+
+expect_usage_error(${SWEEP} smoke --len -1)
+expect_usage_error(${SWEEP} smoke --len 99999999999999999999)
+expect_usage_error(${SWEEP} smoke --threads 4097)
+expect_usage_error(${RUN} gcc ir -1)
+expect_usage_error(${HCRV} run fib --budget -1)
+expect_usage_error(${BENCH} --reps 4294967296)
+expect_usage_error(${GEN} gcc -5000 c.hctrace)
+expect_usage_error(${DUMP} a.hctrace -1)
+run_checked(${SWEEP} smoke --len 5 --quiet)
 
 message(STATUS "tools round-trip OK")

@@ -82,13 +82,13 @@ int main(int argc, char** argv) {
   std::printf("NREADY w2n / n2w     : %.1f%% / %.1f%%\n", h.nready_w2n_pct(),
               h.nready_n2w_pct());
   std::printf("issues wide/helper/fp: %llu / %llu / %llu\n",
-              (unsigned long long)h.counters.get("issue_wide"),
-              (unsigned long long)h.counters.get("issue_helper"),
-              (unsigned long long)h.counters.get("issue_fp"));
+              (unsigned long long)h.counters[Counter::kIssueWide],
+              (unsigned long long)h.counters[Counter::kIssueHelper],
+              (unsigned long long)h.counters[Counter::kIssueFp]);
   std::printf("flush refills        : %llu\n",
-              (unsigned long long)h.counters.get("flush_refills"));
+              (unsigned long long)h.counters[Counter::kFlushRefills]);
   std::printf("mob forwards         : %llu\n",
-              (unsigned long long)h.counters.get("mob_forwards"));
+              (unsigned long long)h.counters[Counter::kMobForwards]);
 
   const PowerReport pb = analyze_power(b, monolithic_baseline());
   const PowerReport ph = analyze_power(h, helper_machine(steer));

@@ -644,29 +644,12 @@ void Pipeline::feed(std::span<const TraceRecord> recs) {
 }
 
 Pipeline::StatsCheckpoint Pipeline::checkpoint_stats() const {
-  StatsCheckpoint cp;
-  cp.res = res_;
-  cp.dl0_hits = memsys_.dl0().hit_ratio().num;
-  cp.dl0_accesses = memsys_.dl0().hit_ratio().den;
-  cp.ul1_hits = memsys_.ul1().hit_ratio().num;
-  cp.ul1_accesses = memsys_.ul1().hit_ratio().den;
-  return cp;
+  return {res_, memsys_.dl0().hit_ratio(), memsys_.ul1().hit_ratio()};
 }
 
 SimResult Pipeline::finish() {
-  const Tick wt = wide_ticks();
   train_cp_window(next_seq_);
-  res_.cp_wasted = res_.copy_prefetches >= res_.cp_useful
-                       ? res_.copy_prefetches - res_.cp_useful
-                       : 0;
-  res_.wide_cycles = static_cast<double>(res_.final_tick) / static_cast<double>(wt);
-  res_.ipc = res_.wide_cycles > 0
-                 ? static_cast<double>(res_.uops) / res_.wide_cycles
-                 : 0.0;
-  res_.dl0_hit_rate = memsys_.dl0().hit_ratio().value();
-  res_.ul1_hit_rate = memsys_.ul1().hit_ratio().value();
-  res_.counters[Counter::kDl0Accesses] = memsys_.dl0().accesses();
-  res_.counters[Counter::kUl1Accesses] = memsys_.ul1().accesses();
+  res_.finalize(wide_ticks(), memsys_.dl0().hit_ratio(), memsys_.ul1().hit_ratio());
   return res_;
 }
 

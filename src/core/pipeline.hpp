@@ -69,9 +69,9 @@ class Pipeline {
   SimResult run(TraceCursor& cursor);
 
   /// Raw running-statistics checkpoint for windowed sampling (src/sample):
-  /// every integer event field accumulated so far (derived doubles unset —
-  /// only finish() computes those) plus the cache hit/access totals that
-  /// finish() folds into rates. Two checkpoints of one run subtract to
+  /// every integer event field accumulated so far (derived fields unset —
+  /// only SimResult::finalize() computes those) plus the cache hit ratios
+  /// finalize() folds into rates. Two checkpoints of one run subtract to
   /// exactly the events of the µops fed between them.
   ///
   /// This is the counter half of the window checkpoint contract. The
@@ -83,8 +83,7 @@ class Pipeline {
   /// predictors/caches/schedulers would reintroduce cross-window ordering.
   struct StatsCheckpoint {
     SimResult res;
-    u64 dl0_hits = 0, dl0_accesses = 0;
-    u64 ul1_hits = 0, ul1_accesses = 0;
+    Ratio dl0, ul1;  // cache hit ratios
   };
   StatsCheckpoint checkpoint_stats() const;
 

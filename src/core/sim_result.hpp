@@ -1,10 +1,10 @@
 // hcsim — results of one simulation run; every figure/table in the paper is
 // derived from these fields.
 //
-// NOTE: the windowed-sampling splice (src/sample/windowed.cpp) subtracts and
-// accumulates every *integer* field of this struct field-by-field; when
-// adding a field here, extend measured_delta()/accumulate() there or sampled
-// runs will silently drop it.
+// NOTE: SimResult::for_each_field is the one list of the fields after
+// workload/config. The sampling splice (src/sample/windowed.cpp) and the svc
+// wire codec (src/svc/protocol.cpp) walk it, so a new field is listed there
+// once; its position in the list is its wire position.
 #pragma once
 
 #include <string>
@@ -64,9 +64,59 @@ struct SimResult {
   double ul1_hit_rate = 0.0;
 
   // --- misc event counts (power model input) --------------------------------
-  // Enum-indexed on the hot path; string lookups and the CounterBag bridge
-  // (counters.to_bag()) remain available for reporting consumers.
   CounterArray counters;
+
+  /// Calls f(r.field...) for every field after workload/config, in wire
+  /// order, passing that field of each of `rs` (all SimResults).
+  template <typename F, typename... R>
+  static void for_each_field(F&& f, R&&... rs) {
+    f(rs.uops...);
+    f(rs.final_tick...);
+    f(rs.wide_cycles...);
+    f(rs.ipc...);
+    f(rs.to_wide...);
+    f(rs.to_helper...);
+    f(rs.br_steered...);
+    f(rs.cr_steered...);
+    f(rs.split_uops...);
+    f(rs.chunk_uops...);
+    f(rs.replicated_loads...);
+    f(rs.copies...);
+    f(rs.copies_w2n...);
+    f(rs.copies_n2w...);
+    f(rs.copy_prefetches...);
+    f(rs.cp_useful...);
+    f(rs.cp_wasted...);
+    f(rs.copy_wait...);
+    f(rs.wp_correct...);
+    f(rs.wp_nonfatal...);
+    f(rs.wp_fatal...);
+    f(rs.cr_violations...);
+    f(rs.branches...);
+    f(rs.branch_mispredicts...);
+    f(rs.nready_w2n...);
+    f(rs.nready_n2w...);
+    f(rs.dl0_hit_rate...);
+    f(rs.ul1_hit_rate...);
+    f(rs.counters...);
+  }
+
+  bool operator==(const SimResult&) const = default;
+
+  /// Derive cp_wasted, wide_cycles, ipc, the cache hit rates and the cache
+  /// access counters from the integer totals plus the cache hit ratios over
+  /// the same span. Full runs, sampled windows and the splice all use this.
+  void finalize(Tick wide_ticks, const Ratio& dl0, const Ratio& ul1) {
+    // A prefetch issued during a sampled warm-up can be consumed during
+    // measure, so the two are not ordered: saturate.
+    cp_wasted = copy_prefetches >= cp_useful ? copy_prefetches - cp_useful : 0;
+    wide_cycles = static_cast<double>(final_tick) / static_cast<double>(wide_ticks);
+    ipc = wide_cycles > 0 ? static_cast<double>(uops) / wide_cycles : 0.0;
+    dl0_hit_rate = dl0.value();
+    ul1_hit_rate = ul1.value();
+    counters[Counter::kDl0Accesses] = dl0.den;
+    counters[Counter::kUl1Accesses] = ul1.den;
+  }
 
   // --- derived -----------------------------------------------------------
   double helper_frac() const {

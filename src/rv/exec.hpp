@@ -8,12 +8,9 @@
 //
 // Two entry points share one interpreter:
 //   - execute(): run-to-completion with a per-step sink (the original API).
-//   - RvMachine: a *resumable* stepper whose full architectural state
-//     (registers, memory, pc, retired count) can be snapshotted and
-//     restored. This is what makes an RV trace producer seekable — the
-//     windowed sampler checkpoints machine state at window entries so a
-//     seek restores the nearest checkpoint instead of re-executing from the
-//     entry point (O(period), not O(begin)).
+//   - RvMachine: a *resumable* stepper that retires one instruction per
+//     call. The windowed sampler's kernel stream keeps one alive across
+//     windows, so a forward seek costs O(gap), not O(begin).
 //
 // Halting: ECALL / EBREAK retire and halt, as does a jump to the
 // return-address sentinel (ra is initialized to kRvHaltAddr, so a top-level
@@ -59,22 +56,8 @@ struct RvExecResult {
   std::string error;       // nonempty on trap (bad pc/address/instruction)
 };
 
-/// Full resumable machine state: everything `restore` needs to continue a
-/// run bit-identically from where `save` left it. Memory dominates the
-/// size (ExecLimits::mem_bytes, 1MB by default) — checkpoint holders cap
-/// their count, not their interval.
-struct RvMachineState {
-  std::array<u32, 32> regs{};
-  std::vector<u8> mem;
-  u32 pc = 0;
-  u64 steps = 0;
-  bool completed = false;
-  std::string error;
-};
-
 /// Steppable RV32I interpreter. Construct once per program; `step` retires
-/// one instruction at a time. All state lives in the object, so `save` /
-/// `restore` give O(mem_bytes) checkpoints at any instruction boundary.
+/// one instruction at a time.
 class RvMachine {
  public:
   enum class Outcome {
@@ -96,9 +79,6 @@ class RvMachine {
   /// True once ecall/ebreak retired or the halt sentinel was reached.
   bool completed() const { return completed_; }
   const std::string& error() const { return error_; }
-
-  RvMachineState save() const;
-  void restore(const RvMachineState& s);
 
  private:
   Outcome trap(const std::string& msg);

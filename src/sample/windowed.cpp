@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <type_traits>
 
 #include "exp/runner.hpp"
 #include "sim/simulator.hpp"
@@ -12,97 +13,23 @@ namespace hcsim::sample {
 
 namespace {
 
-/// end - start over every integer field of SimResult (strings/derived come
-/// from `end`; derived doubles are recomputed by finalize()). Keep in sync
-/// with the SimResult field list — see the note in core/sim_result.hpp.
-SimResult measured_delta(const Pipeline::StatsCheckpoint& end,
-                         const Pipeline::StatsCheckpoint& start) {
-  SimResult d = end.res;
-  const SimResult& s = start.res;
-  d.uops -= s.uops;
-  d.final_tick -= s.final_tick;
-  d.to_wide -= s.to_wide;
-  d.to_helper -= s.to_helper;
-  d.br_steered -= s.br_steered;
-  d.cr_steered -= s.cr_steered;
-  d.split_uops -= s.split_uops;
-  d.chunk_uops -= s.chunk_uops;
-  d.replicated_loads -= s.replicated_loads;
-  d.copies -= s.copies;
-  d.copies_w2n -= s.copies_w2n;
-  d.copies_n2w -= s.copies_n2w;
-  d.copy_prefetches -= s.copy_prefetches;
-  d.cp_useful -= s.cp_useful;
-  d.copy_wait.subtract(s.copy_wait);
-  d.wp_correct -= s.wp_correct;
-  d.wp_nonfatal -= s.wp_nonfatal;
-  d.wp_fatal -= s.wp_fatal;
-  d.cr_violations -= s.cr_violations;
-  d.branches -= s.branches;
-  d.branch_mispredicts -= s.branch_mispredicts;
-  d.nready_w2n -= s.nready_w2n;
-  d.nready_n2w -= s.nready_n2w;
-  for (std::size_t i = 0; i < kNumCounters; ++i) {
-    const Counter c = static_cast<Counter>(i);
-    d.counters[c] -= s.counters[c];
-  }
-  // A prefetch issued during warm-up can be consumed during measure, so the
-  // deltas are not ordered; saturate like Pipeline::finish() does.
-  d.cp_wasted =
-      d.copy_prefetches >= d.cp_useful ? d.copy_prefetches - d.cp_useful : 0;
-  return d;
-}
-
-/// Splice `w` into `into` (integer fields only; trace order is the caller's
-/// responsibility — all additions commute, the order is for determinism of
-/// intent, not arithmetic).
-void accumulate(SimResult& into, const SimResult& w) {
-  into.uops += w.uops;
-  into.final_tick += w.final_tick;  // sum of measured commit-tick spans
-  into.to_wide += w.to_wide;
-  into.to_helper += w.to_helper;
-  into.br_steered += w.br_steered;
-  into.cr_steered += w.cr_steered;
-  into.split_uops += w.split_uops;
-  into.chunk_uops += w.chunk_uops;
-  into.replicated_loads += w.replicated_loads;
-  into.copies += w.copies;
-  into.copies_w2n += w.copies_w2n;
-  into.copies_n2w += w.copies_n2w;
-  into.copy_prefetches += w.copy_prefetches;
-  into.cp_useful += w.cp_useful;
-  into.copy_wait.merge(w.copy_wait);
-  into.wp_correct += w.wp_correct;
-  into.wp_nonfatal += w.wp_nonfatal;
-  into.wp_fatal += w.wp_fatal;
-  into.cr_violations += w.cr_violations;
-  into.branches += w.branches;
-  into.branch_mispredicts += w.branch_mispredicts;
-  into.nready_w2n += w.nready_w2n;
-  into.nready_n2w += w.nready_n2w;
-  for (std::size_t i = 0; i < kNumCounters; ++i) {
-    const Counter c = static_cast<Counter>(i);
-    into.counters[c] += w.counters[c];
-  }
-  into.cp_wasted = into.copy_prefetches >= into.cp_useful
-                       ? into.copy_prefetches - into.cp_useful
-                       : 0;
-}
-
-/// Derive the double-valued statistics from spliced integer totals, the way
-/// Pipeline::finish() does for a full run.
-void finalize(SimResult& r, Tick wide_ticks, u64 dl0_hits, u64 dl0_accesses,
-              u64 ul1_hits, u64 ul1_accesses) {
-  r.wide_cycles = static_cast<double>(r.final_tick) / static_cast<double>(wide_ticks);
-  r.ipc = r.wide_cycles > 0 ? static_cast<double>(r.uops) / r.wide_cycles : 0.0;
-  r.dl0_hit_rate = dl0_accesses
-                       ? static_cast<double>(dl0_hits) / static_cast<double>(dl0_accesses)
-                       : 0.0;
-  r.ul1_hit_rate = ul1_accesses
-                       ? static_cast<double>(ul1_hits) / static_cast<double>(ul1_accesses)
-                       : 0.0;
-  r.counters[Counter::kDl0Accesses] = dl0_accesses;
-  r.counters[Counter::kUl1Accesses] = ul1_accesses;
+/// Splice `w` into `into`, field by field: add when kAdd, else subtract an
+/// earlier checkpoint of the same run. Derived fields are left for
+/// SimResult::finalize() to recompute from the spliced integers.
+template <bool kAdd>
+void splice(SimResult& into, const SimResult& w) {
+  SimResult::for_each_field(
+      [](auto& a, const auto& b) {
+        using T = std::decay_t<decltype(a)>;
+        if constexpr (std::is_same_v<T, Histogram>) {
+          if constexpr (kAdd) a.merge(b);
+          else a.subtract(b);
+        } else if constexpr (!std::is_same_v<T, double>) {
+          if constexpr (kAdd) a += b;
+          else a -= b;
+        }
+      },
+      into, w);
 }
 
 /// One in-flight window: a cold pipeline plus the warm-up/measure boundary
@@ -133,13 +60,13 @@ bool close_window(const WindowRange& w, WindowRun& run, Tick wide_ticks,
   const Pipeline::StatsCheckpoint end = run.pipeline->checkpoint_stats();
   out.range = w;
   out.range.measure = run.fed - w.warmup;  // truncated when the trace ended early
-  out.measured = measured_delta(end, run.warm);
-  out.dl0_hits = end.dl0_hits - run.warm.dl0_hits;
-  out.dl0_accesses = end.dl0_accesses - run.warm.dl0_accesses;
-  out.ul1_hits = end.ul1_hits - run.warm.ul1_hits;
-  out.ul1_accesses = end.ul1_accesses - run.warm.ul1_accesses;
-  finalize(out.measured, wide_ticks, out.dl0_hits, out.dl0_accesses, out.ul1_hits,
-           out.ul1_accesses);
+  out.measured = end.res;
+  splice<false>(out.measured, run.warm.res);
+  out.dl0 = end.dl0;
+  out.dl0 -= run.warm.dl0;
+  out.ul1 = end.ul1;
+  out.ul1 -= run.warm.ul1;
+  out.measured.finalize(wide_ticks, out.dl0, out.ul1);
   run.pipeline.reset();
   return true;
 }
@@ -224,7 +151,7 @@ SampledResult WindowedSimulator::run(const StreamFactory& factory, u64 trace_len
   }
 
   // Splice measured windows in trace order.
-  u64 dl0_hits = 0, dl0_accesses = 0, ul1_hits = 0, ul1_accesses = 0;
+  Ratio dl0, ul1;
   bool first = true;
   for (std::size_t i = 0; i < plan.size(); ++i) {
     if (!valid[i]) continue;
@@ -232,12 +159,10 @@ SampledResult WindowedSimulator::run(const StreamFactory& factory, u64 trace_len
       result.total = stats[i].measured;  // adopts workload/config strings
       first = false;
     } else {
-      accumulate(result.total, stats[i].measured);
+      splice<true>(result.total, stats[i].measured);
     }
-    dl0_hits += stats[i].dl0_hits;
-    dl0_accesses += stats[i].dl0_accesses;
-    ul1_hits += stats[i].ul1_hits;
-    ul1_accesses += stats[i].ul1_accesses;
+    dl0 += stats[i].dl0;
+    ul1 += stats[i].ul1;
     result.measured_uops += stats[i].measured.uops;
     result.simulated_uops += stats[i].range.warmup + stats[i].measured.uops;
     result.windows.push_back(std::move(stats[i]));
@@ -247,7 +172,7 @@ SampledResult WindowedSimulator::run(const StreamFactory& factory, u64 trace_len
     // halting almost immediately): no measured window exists, fall back.
     return full_run();
   }
-  finalize(result.total, wt, dl0_hits, dl0_accesses, ul1_hits, ul1_accesses);
+  result.total.finalize(wt, dl0, ul1);
   return result;
 }
 

@@ -31,8 +31,7 @@ struct WindowStats {
   /// Counter deltas of the measured region; derived fields (ipc, hit rates)
   /// are finalized per window so the window table can show them.
   SimResult measured;
-  u64 dl0_hits = 0, dl0_accesses = 0;  // measured-region cache deltas
-  u64 ul1_hits = 0, ul1_accesses = 0;
+  Ratio dl0, ul1;  // measured-region cache hit ratios
 };
 
 struct SampledResult {

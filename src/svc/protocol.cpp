@@ -248,79 +248,62 @@ bool decode(wire::Reader& r, WorkloadProfile& p) {
          get_f64(r, p.p_store) && get_f64(r, p.p_narrow_flags);
 }
 
-void encode(std::vector<u8>& buf, const SimResult& s) {
-  wire::put_string(buf, s.workload);
-  wire::put_string(buf, s.config);
-  wire::put_u64(buf, s.uops);
-  wire::put_u64(buf, s.final_tick);
-  put_f64(buf, s.wide_cycles);
-  put_f64(buf, s.ipc);
-  wire::put_u64(buf, s.to_wide);
-  wire::put_u64(buf, s.to_helper);
-  wire::put_u64(buf, s.br_steered);
-  wire::put_u64(buf, s.cr_steered);
-  wire::put_u64(buf, s.split_uops);
-  wire::put_u64(buf, s.chunk_uops);
-  wire::put_u64(buf, s.replicated_loads);
-  wire::put_u64(buf, s.copies);
-  wire::put_u64(buf, s.copies_w2n);
-  wire::put_u64(buf, s.copies_n2w);
-  wire::put_u64(buf, s.copy_prefetches);
-  wire::put_u64(buf, s.cp_useful);
-  wire::put_u64(buf, s.cp_wasted);
-  wire::put_u32(buf, static_cast<u32>(s.copy_wait.bins()));
-  for (std::size_t i = 0; i <= s.copy_wait.bins(); ++i)
-    wire::put_u64(buf, s.copy_wait.bin(i));
-  wire::put_u64(buf, s.copy_wait.sum());
-  wire::put_u64(buf, s.wp_correct);
-  wire::put_u64(buf, s.wp_nonfatal);
-  wire::put_u64(buf, s.wp_fatal);
-  wire::put_u64(buf, s.cr_violations);
-  wire::put_u64(buf, s.branches);
-  wire::put_u64(buf, s.branch_mispredicts);
-  wire::put_u64(buf, s.nready_w2n);
-  wire::put_u64(buf, s.nready_n2w);
-  put_f64(buf, s.dl0_hit_rate);
-  put_f64(buf, s.ul1_hit_rate);
-  wire::put_u32(buf, static_cast<u32>(kNumCounters));
-  for (std::size_t i = 0; i < kNumCounters; ++i)
-    wire::put_u64(buf, s.counters.get(static_cast<Counter>(i)));
+// SimResult payload: workload, config, then SimResult::for_each_field in
+// order. A histogram is its bin count, every bin including overflow, then
+// its exact sum; the counter array is its length, then every counter.
+
+namespace {
+
+void put_field(std::vector<u8>& buf, u64 v) { wire::put_u64(buf, v); }
+void put_field(std::vector<u8>& buf, double v) { put_f64(buf, v); }
+
+void put_field(std::vector<u8>& buf, const Histogram& h) {
+  wire::put_u32(buf, static_cast<u32>(h.bins()));
+  for (std::size_t i = 0; i <= h.bins(); ++i) wire::put_u64(buf, h.bin(i));
+  wire::put_u64(buf, h.sum());
 }
 
-bool decode(wire::Reader& r, SimResult& s) {
-  if (!r.get_string(s.workload, 256) || !r.get_string(s.config, 256) ||
-      !r.get_u64(s.uops) || !r.get_u64(s.final_tick) ||
-      !get_f64(r, s.wide_cycles) || !get_f64(r, s.ipc) ||
-      !r.get_u64(s.to_wide) || !r.get_u64(s.to_helper) ||
-      !r.get_u64(s.br_steered) || !r.get_u64(s.cr_steered) ||
-      !r.get_u64(s.split_uops) || !r.get_u64(s.chunk_uops) ||
-      !r.get_u64(s.replicated_loads) || !r.get_u64(s.copies) ||
-      !r.get_u64(s.copies_w2n) || !r.get_u64(s.copies_n2w) ||
-      !r.get_u64(s.copy_prefetches) || !r.get_u64(s.cp_useful) ||
-      !r.get_u64(s.cp_wasted))
-    return false;
+void put_field(std::vector<u8>& buf, const CounterArray& c) {
+  wire::put_u32(buf, static_cast<u32>(kNumCounters));
+  for (std::size_t i = 0; i < kNumCounters; ++i)
+    wire::put_u64(buf, c[static_cast<Counter>(i)]);
+}
+
+bool get_field(wire::Reader& r, u64& v) { return r.get_u64(v); }
+bool get_field(wire::Reader& r, double& v) { return get_f64(r, v); }
+
+bool get_field(wire::Reader& r, Histogram& h) {
   u32 n_bins = 0;
   if (!r.get_u32(n_bins) || n_bins > (1u << 16)) return false;
   std::vector<u64> counts(n_bins + 1);
   for (u64& c : counts)
     if (!r.get_u64(c)) return false;
-  u64 hist_sum = 0;
-  if (!r.get_u64(hist_sum)) return false;
-  s.copy_wait.restore(std::move(counts), hist_sum);
-  if (!r.get_u64(s.wp_correct) || !r.get_u64(s.wp_nonfatal) ||
-      !r.get_u64(s.wp_fatal) || !r.get_u64(s.cr_violations) ||
-      !r.get_u64(s.branches) || !r.get_u64(s.branch_mispredicts) ||
-      !r.get_u64(s.nready_w2n) || !r.get_u64(s.nready_n2w) ||
-      !get_f64(r, s.dl0_hit_rate) || !get_f64(r, s.ul1_hit_rate))
-    return false;
-  u32 n_counters = 0;
-  if (!r.get_u32(n_counters) || n_counters != kNumCounters) return false;
-  for (std::size_t i = 0; i < kNumCounters; ++i) {
-    u64 v = 0;
-    if (!r.get_u64(v)) return false;
-    s.counters[static_cast<Counter>(i)] = v;
-  }
+  u64 sum = 0;
+  if (!r.get_u64(sum)) return false;
+  h.restore(std::move(counts), sum);
   return true;
+}
+
+bool get_field(wire::Reader& r, CounterArray& c) {
+  u32 n = 0;
+  if (!r.get_u32(n) || n != kNumCounters) return false;
+  for (std::size_t i = 0; i < kNumCounters; ++i)
+    if (!r.get_u64(c[static_cast<Counter>(i)])) return false;
+  return true;
+}
+
+}  // namespace
+
+void encode(std::vector<u8>& buf, const SimResult& s) {
+  wire::put_string(buf, s.workload);
+  wire::put_string(buf, s.config);
+  SimResult::for_each_field([&buf](const auto& v) { put_field(buf, v); }, s);
+}
+
+bool decode(wire::Reader& r, SimResult& s) {
+  bool ok = r.get_string(s.workload, 256) && r.get_string(s.config, 256);
+  SimResult::for_each_field([&](auto& v) { ok = ok && get_field(r, v); }, s);
+  return ok;
 }
 
 // --- kRunJobs ---------------------------------------------------------------

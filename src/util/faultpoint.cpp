@@ -52,14 +52,10 @@ Entry parse_entry(const std::string& item) {
   const auto c2 = item.find(':', c1 + 1);
   const std::string nth_s =
       c2 == std::string::npos ? item.substr(c1 + 1) : item.substr(c1 + 1, c2 - c1 - 1);
-  char* end = nullptr;
-  e.nth = std::strtoull(nth_s.c_str(), &end, 10);
-  HCSIM_CHECK(end != nth_s.c_str() && *end == '\0' && e.nth >= 1,
+  HCSIM_CHECK(parse_u64(nth_s.c_str(), e.nth, 1) == std::errc{},
               "HCSIM_FAULT nth must be a positive integer: " + item);
   if (c2 != std::string::npos) {
-    const std::string count_s = item.substr(c2 + 1);
-    e.count = std::strtoull(count_s.c_str(), &end, 10);
-    HCSIM_CHECK(end != count_s.c_str() && *end == '\0',
+    HCSIM_CHECK(parse_u64(item.substr(c2 + 1).c_str(), e.count) == std::errc{},
                 "HCSIM_FAULT count must be an integer: " + item);
   }
   return e;

@@ -1,5 +1,7 @@
 #include "util/log.hpp"
 
+#include <cctype>
+#include <cerrno>
 #include <mutex>
 #include <set>
 
@@ -14,6 +16,16 @@ bool log_warn_once(const std::string& key, const std::string& msg) {
   }
   std::fprintf(stderr, "hcsim warning: %s\n", msg.c_str());
   return true;
+}
+
+std::errc parse_u64(const char* s, u64& out, u64 lo, u64 hi) {
+  if (!*s) return std::errc::invalid_argument;
+  for (const char* p = s; *p; ++p)
+    if (!std::isdigit(static_cast<unsigned char>(*p))) return std::errc::invalid_argument;
+  errno = 0;
+  out = std::strtoull(s, nullptr, 10);
+  if (errno == ERANGE || out < lo || out > hi) return std::errc::result_out_of_range;
+  return std::errc{};
 }
 
 }  // namespace hcsim

@@ -1,11 +1,13 @@
 // hcsim — assertion and environment helpers.
 #pragma once
 
-#include <cctype>
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
+#include <system_error>
+
+#include "util/types.hpp"
 
 namespace hcsim {
 
@@ -30,28 +32,32 @@ namespace hcsim {
 /// tests observe the once-latch directly.
 bool log_warn_once(const std::string& key, const std::string& msg);
 
+/// Strict decimal parse shared by env_u64 and every CLI integer option.
+/// Accepts bare digits only — the C library parser alone would also take
+/// whitespace, '+', base prefixes and '-' (turning "-1" into 2^64-1). Returns
+/// invalid_argument for anything else, result_out_of_range for a value
+/// above 2^64-1 or outside [lo, hi], and errc{} on success. Whenever `s` is
+/// bare digits `out` receives its value (2^64-1 on overflow), so a caller
+/// can tell a value above `hi` from one below `lo`.
+std::errc parse_u64(const char* s, u64& out, u64 lo = 0,
+                    u64 hi = std::numeric_limits<u64>::max());
+
 /// Read an environment-variable override (used by benches and the sampling
 /// layer to scale runs without recompiling). Malformed values are fatal:
 /// an override that silently truncates ("100k" -> 100, "1e8" -> 1) or wraps
 /// on overflow would quietly run the wrong experiment, which is worse than
 /// stopping. Only plain non-negative decimal integers are accepted.
-inline unsigned long long env_u64(const char* name, unsigned long long fallback) {
+inline u64 env_u64(const char* name, u64 fallback) {
   const char* v = std::getenv(name);
   if (!v || !*v) return fallback;
-  // strtoull accepts leading whitespace, '+', '-' (negating modulo 2^64) and
-  // base prefixes; reject everything but bare digits up front.
-  for (const char* p = v; *p; ++p) {
-    if (!std::isdigit(static_cast<unsigned char>(*p)))
-      fatal(__FILE__, __LINE__,
-            std::string(name) + ": malformed value '" + v +
-                "' (non-negative decimal integer required)");
-  }
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(v, &end, 10);
-  if (errno == ERANGE || end == v || *end != '\0')
+  u64 parsed = 0;
+  const std::errc e = parse_u64(v, parsed);
+  if (e == std::errc::invalid_argument)
     fatal(__FILE__, __LINE__,
-          std::string(name) + ": value '" + v + "' does not fit in 64 bits");
+          std::string(name) + ": malformed value '" + v +
+              "' (non-negative decimal integer required)");
+  if (e != std::errc{})
+    fatal(__FILE__, __LINE__, std::string(name) + ": value '" + v + "' does not fit in 64 bits");
   return parsed;
 }
 

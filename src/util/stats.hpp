@@ -1,13 +1,11 @@
 // hcsim — lightweight statistics primitives used by the simulator and the
-// benches (counters, ratios, running mean/stddev, histograms).
+// benches (ratios, running mean/stddev, histograms).
 #pragma once
 
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <limits>
-#include <map>
-#include <string>
 #include <vector>
 
 #include "util/log.hpp"
@@ -63,6 +61,10 @@ struct Ratio {
   void add_n(u64 n, u64 d) { num += n; den += d; }
   double value() const { return den ? static_cast<double>(num) / static_cast<double>(den) : 0.0; }
   double percent() const { return 100.0 * value(); }
+
+  Ratio& operator+=(const Ratio& o) { num += o.num; den += o.den; return *this; }
+  Ratio& operator-=(const Ratio& o) { num -= o.num; den -= o.den; return *this; }
+  bool operator==(const Ratio&) const = default;
 };
 
 /// Fixed-bin histogram over [0, bins) with a saturating overflow bin.
@@ -138,25 +140,12 @@ class Histogram {
     sum_ -= o.sum_;
   }
 
+  bool operator==(const Histogram&) const = default;
+
  private:
   std::vector<u64> counts_;
   u64 total_ = 0;
   u64 sum_ = 0;
-};
-
-/// Named counter bag — the simulator exposes its raw event counts this way
-/// so benches/tests can assert on any of them without new plumbing.
-class CounterBag {
- public:
-  u64& operator[](const std::string& name) { return counters_[name]; }
-  u64 get(const std::string& name) const {
-    auto it = counters_.find(name);
-    return it == counters_.end() ? 0 : it->second;
-  }
-  const std::map<std::string, u64>& all() const { return counters_; }
-
- private:
-  std::map<std::string, u64> counters_;
 };
 
 /// Geometric mean helper for speedup aggregation across apps.

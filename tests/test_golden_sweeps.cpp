@@ -103,7 +103,7 @@ TEST(GoldenSweeps, CumulativeCacheOnOffIdentical) {
 TEST(GoldenSweeps, HelperSweepHasNoNreadyTruncation) {
   const Trace t = generate_trace(spec_profile("gcc"), 30000);
   const SimResult r = simulate(helper_machine(steering_888()), t);
-  EXPECT_EQ(r.counters.get("nready_truncations"), 0u);
+  EXPECT_EQ(r.counters[Counter::kNreadyTruncations], 0u);
 }
 
 }  // namespace

@@ -77,7 +77,7 @@ TEST(Pipeline, NreadyClassifiesWaitingUopsWithoutTruncation) {
     tb.add(kRegEbx, kRegEax, kRegEax, 0x123456, 0x123456);
   const SimResult r = simulate(helper_machine(steering_888()), tb.trace);
   EXPECT_GT(r.nready_w2n, 0u);
-  EXPECT_EQ(r.counters.get("nready_truncations"), 0u);
+  EXPECT_EQ(r.counters[Counter::kNreadyTruncations], 0u);
 }
 
 TEST(Pipeline, CommitsEveryUop) {
@@ -88,7 +88,7 @@ TEST(Pipeline, CommitsEveryUop) {
   const SimResult r = simulate(baseline(), tb.trace);
   EXPECT_EQ(r.uops, 3u);
   EXPECT_GT(r.final_tick, 0u);
-  EXPECT_EQ(r.counters.get("committed"), 3u);
+  EXPECT_EQ(r.counters[Counter::kCommitted], 3u);
 }
 
 TEST(Pipeline, BaselineUsesNoHelperResources) {
@@ -97,7 +97,7 @@ TEST(Pipeline, BaselineUsesNoHelperResources) {
   EXPECT_EQ(r.to_helper, 0u);
   EXPECT_EQ(r.copies, 0u);
   EXPECT_EQ(r.split_uops, 0u);
-  EXPECT_EQ(r.counters.get("issue_helper"), 0u);
+  EXPECT_EQ(r.counters[Counter::kIssueHelper], 0u);
   EXPECT_EQ(r.nready_w2n, 0u);
 }
 
@@ -105,17 +105,14 @@ TEST(Pipeline, SteeringPartitionInvariant) {
   const Trace t = generate_trace(spec_profile("gcc"), 20000);
   const SimResult r = simulate(helper_machine(steering_ir()), t);
   // Every committed µop ran in exactly one backend.
-  EXPECT_EQ(r.to_helper + r.to_wide + r.counters.get("issue_fp"), r.uops);
+  EXPECT_EQ(r.to_helper + r.to_wide + r.counters[Counter::kIssueFp], r.uops);
 }
 
 TEST(Pipeline, DeterministicRuns) {
   const Trace t = generate_trace(spec_profile("twolf"), 20000);
   const SimResult a = simulate(helper_machine(steering_ir()), t);
   const SimResult b = simulate(helper_machine(steering_ir()), t);
-  EXPECT_EQ(a.final_tick, b.final_tick);
-  EXPECT_EQ(a.copies, b.copies);
-  EXPECT_EQ(a.to_helper, b.to_helper);
-  EXPECT_EQ(a.wp_fatal, b.wp_fatal);
+  EXPECT_TRUE(a == b);
 }
 
 TEST(Pipeline, IpcBoundedByMachineWidths) {
@@ -204,7 +201,7 @@ TEST(Pipeline, FatalWidthMispredictionFlushesAndResteers) {
 
   const SimResult r = simulate(helper_machine(steering_888()), tb.trace);
   EXPECT_GE(r.wp_fatal, 1u);
-  EXPECT_GE(r.counters.get("flush_refills"), 1u);
+  EXPECT_GE(r.counters[Counter::kFlushRefills], 1u);
 }
 
 TEST(Pipeline, FlushPenaltyCostsTime) {
@@ -381,7 +378,7 @@ TEST(Pipeline, BlockSplittingRecruitsExtraSplits) {
   const Trace t = generate_trace(spec_profile("parser"), 30000);
   const SimResult full = simulate(helper_machine(steering_ir()), t);
   const SimResult block = simulate(helper_machine(steering_ir_block()), t);
-  EXPECT_GE(block.split_uops + block.counters.get("block_splits"),
+  EXPECT_GE(block.split_uops + block.counters[Counter::kBlockSplits],
             full.split_uops);
 }
 

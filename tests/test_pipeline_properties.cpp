@@ -37,12 +37,12 @@ class PipelineInvariants : public ::testing::TestWithParam<Param> {
 TEST_P(PipelineInvariants, EveryUopCommitsExactlyOnce) {
   const SimResult& r = result();
   EXPECT_EQ(r.uops, kLen);
-  EXPECT_EQ(r.counters.get("committed"), kLen);
+  EXPECT_EQ(r.counters[Counter::kCommitted], kLen);
 }
 
 TEST_P(PipelineInvariants, BackendPartition) {
   const SimResult& r = result();
-  EXPECT_EQ(r.to_helper + r.to_wide + r.counters.get("issue_fp"), r.uops);
+  EXPECT_EQ(r.to_helper + r.to_wide + r.counters[Counter::kIssueFp], r.uops);
 }
 
 TEST_P(PipelineInvariants, ChunksAreFourPerSplit) {

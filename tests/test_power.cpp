@@ -14,14 +14,14 @@ SimResult fake_result() {
   r.wide_cycles = 2000;
   r.branches = 100;
   r.copies = 50;
-  r.counters["issue_wide"] = 700;
-  r.counters["issue_helper"] = 300;
-  r.counters["issue_fp"] = 20;
-  r.counters["rf_write_wide"] = 600;
-  r.counters["rf_write_helper"] = 250;
-  r.counters["dl0_accesses"] = 200;
-  r.counters["ul1_accesses"] = 20;
-  r.counters["wpred_lookups"] = 1000;
+  r.counters[Counter::kIssueWide] = 700;
+  r.counters[Counter::kIssueHelper] = 300;
+  r.counters[Counter::kIssueFp] = 20;
+  r.counters[Counter::kRfWriteWide] = 600;
+  r.counters[Counter::kRfWriteHelper] = 250;
+  r.counters[Counter::kDl0Accesses] = 200;
+  r.counters[Counter::kUl1Accesses] = 20;
+  r.counters[Counter::kWpredLookups] = 1000;
   return r;
 }
 
@@ -53,11 +53,11 @@ TEST(Power, HelperAccessesCheaperThanWide) {
   // Same issue count in the helper must cost less than in the wide backend
   // (width-scaled structures, Section 2.1).
   SimResult wide_heavy = fake_result();
-  wide_heavy.counters["issue_wide"] = 1000;
-  wide_heavy.counters["issue_helper"] = 0;
+  wide_heavy.counters[Counter::kIssueWide] = 1000;
+  wide_heavy.counters[Counter::kIssueHelper] = 0;
   SimResult helper_heavy = fake_result();
-  helper_heavy.counters["issue_wide"] = 0;
-  helper_heavy.counters["issue_helper"] = 1000;
+  helper_heavy.counters[Counter::kIssueWide] = 0;
+  helper_heavy.counters[Counter::kIssueHelper] = 1000;
   const MachineConfig cfg = helper_machine(steering_888());
   const PowerReport w = analyze_power(wide_heavy, cfg);
   const PowerReport h = analyze_power(helper_heavy, cfg);
@@ -67,7 +67,7 @@ TEST(Power, HelperAccessesCheaperThanWide) {
 TEST(Power, MonotonicInActivity) {
   SimResult lo = fake_result();
   SimResult hi = fake_result();
-  hi.counters["issue_wide"] += 1000;
+  hi.counters[Counter::kIssueWide] += 1000;
   hi.copies += 100;
   const MachineConfig cfg = monolithic_baseline();
   EXPECT_GT(analyze_power(hi, cfg).energy, analyze_power(lo, cfg).energy);

@@ -12,6 +12,7 @@
 #include <unistd.h>
 
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -110,6 +111,109 @@ TEST(Protocol, SweepListRoundTrip) {
   std::vector<std::string> back;
   ASSERT_TRUE(decode_sweep_list(r, back));
   EXPECT_EQ(back, names);
+}
+
+/// Every SimResult field set by name to a distinct value; the histogram has
+/// mass in its overflow bin and every counter differs.
+SimResult golden_result() {
+  SimResult r;
+  r.workload = "gcc";
+  r.config = "8_8_8+BR+LR+CR";
+  r.uops = 1001;
+  r.final_tick = 1002;
+  r.wide_cycles = 501.25;
+  r.ipc = 1.75;
+  r.to_wide = 1003;
+  r.to_helper = 1004;
+  r.br_steered = 1005;
+  r.cr_steered = 1006;
+  r.split_uops = 1007;
+  r.chunk_uops = 1008;
+  r.replicated_loads = 1009;
+  r.copies = 1010;
+  r.copies_w2n = 1011;
+  r.copies_n2w = 1012;
+  r.copy_prefetches = 1013;
+  r.cp_useful = 1014;
+  r.cp_wasted = 1015;
+  r.copy_wait.add(3);
+  r.copy_wait.add(7, 2);
+  r.copy_wait.add(1000);  // overflow bin
+  r.wp_correct = 1016;
+  r.wp_nonfatal = 1017;
+  r.wp_fatal = 1018;
+  r.cr_violations = 1019;
+  r.branches = 1020;
+  r.branch_mispredicts = 1021;
+  r.nready_w2n = 1022;
+  r.nready_n2w = 1023;
+  r.dl0_hit_rate = 0.875;
+  r.ul1_hit_rate = 0.4375;
+  for (std::size_t i = 0; i < kNumCounters; ++i) r.counters[static_cast<Counter>(i)] = 2000 + i;
+  return r;
+}
+
+/// encode(golden_result()). Pins the wire and journal layout: a field
+/// dropped from, added to or moved in SimResult::for_each_field changes
+/// these bytes, and journals already on disk would then be misread.
+constexpr const char* kGoldenResultHex =
+    "030000006763630e000000385f385f382b42522b4c522b4352e9030000000000"
+    "00ea030000000000000000000000547f40000000000000fc3feb030000000000"
+    "00ec03000000000000ed03000000000000ee03000000000000ef030000000000"
+    "00f003000000000000f103000000000000f203000000000000f3030000000000"
+    "00f403000000000000f503000000000000f603000000000000f7030000000000"
+    "0040000000000000000000000000000000000000000000000000000000010000"
+    "0000000000000000000000000000000000000000000000000000000000020000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "00000000000100000000000000f903000000000000f803000000000000f90300"
+    "0000000000fa03000000000000fb03000000000000fc03000000000000fd0300"
+    "0000000000fe03000000000000ff03000000000000000000000000ec3f000000"
+    "000000dc3f1a000000d007000000000000d107000000000000d2070000000000"
+    "00d307000000000000d407000000000000d507000000000000d6070000000000"
+    "00d707000000000000d807000000000000d907000000000000da070000000000"
+    "00db07000000000000dc07000000000000dd07000000000000de070000000000"
+    "00df07000000000000e007000000000000e107000000000000e2070000000000"
+    "00e307000000000000e407000000000000e507000000000000e6070000000000"
+    "00e707000000000000e807000000000000e907000000000000";
+
+std::vector<u8> from_hex(std::string_view hex) {
+  std::vector<u8> out;
+  for (std::size_t i = 0; i + 1 < hex.size(); i += 2)
+    out.push_back(static_cast<u8>(std::stoul(std::string(hex.substr(i, 2)), nullptr, 16)));
+  return out;
+}
+
+TEST(Protocol, SimResultWireBytesAreGolden) {
+  const SimResult value = golden_result();
+  const std::vector<u8> golden = from_hex(kGoldenResultHex);
+  std::vector<u8> buf;
+  encode(buf, value);
+  EXPECT_EQ(buf, golden);
+
+  wire::Reader r(golden.data(), golden.size());
+  SimResult back;
+  ASSERT_TRUE(decode(r, back));
+  EXPECT_EQ(r.remaining(), 0u);
+  EXPECT_TRUE(back == value);
+
+  for (std::size_t n = 0; n < golden.size(); ++n) {
+    wire::Reader prefix(golden.data(), n);
+    SimResult partial;
+    EXPECT_FALSE(decode(prefix, partial)) << "prefix of " << n << " bytes decoded";
+  }
 }
 
 // --- service ------------------------------------------------------------------

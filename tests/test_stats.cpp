@@ -106,15 +106,6 @@ TEST(Histogram, WeightedAdd) {
   EXPECT_EQ(h.bin(1), 10u);
 }
 
-TEST(CounterBag, DefaultZeroAndIncrement) {
-  CounterBag bag;
-  EXPECT_EQ(bag.get("missing"), 0u);
-  bag["x"]++;
-  bag["x"] += 2;
-  EXPECT_EQ(bag.get("x"), 3u);
-  EXPECT_EQ(bag.all().size(), 1u);
-}
-
 TEST(Geomean, Basics) {
   EXPECT_DOUBLE_EQ(geomean({}), 0.0);
   EXPECT_NEAR(geomean({2.0, 8.0}), 4.0, 1e-9);

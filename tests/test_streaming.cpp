@@ -20,19 +20,6 @@ bool records_equal(const TraceRecord& a, const TraceRecord& b) {
          a.flags_val == b.flags_val && a.mem_addr == b.mem_addr && a.taken == b.taken;
 }
 
-void expect_same_result(const SimResult& a, const SimResult& b) {
-  EXPECT_EQ(a.workload, b.workload);
-  EXPECT_EQ(a.uops, b.uops);
-  EXPECT_EQ(a.final_tick, b.final_tick);
-  EXPECT_EQ(a.to_helper, b.to_helper);
-  EXPECT_EQ(a.to_wide, b.to_wide);
-  EXPECT_EQ(a.copies, b.copies);
-  EXPECT_EQ(a.wp_fatal, b.wp_fatal);
-  EXPECT_EQ(a.nready_w2n, b.nready_w2n);
-  EXPECT_EQ(a.nready_n2w, b.nready_n2w);
-  EXPECT_EQ(a.counters.to_bag().all(), b.counters.to_bag().all());
-}
-
 TEST(Streaming, CursorReproducesExecuteProgram) {
   const WorkloadProfile& prof = spec_profile("gcc");
   const Program program = generate_program(prof);
@@ -71,7 +58,7 @@ TEST(Streaming, SimulateStreamedMatchesMaterialized) {
        {monolithic_baseline(), helper_machine(steering_ir())}) {
     const SimResult materialized = simulate(cfg, cached_trace(prof, kLen));
     const SimResult streamed = simulate_streamed(cfg, prof, kLen);
-    expect_same_result(materialized, streamed);
+    EXPECT_TRUE(materialized == streamed);
   }
 }
 
@@ -80,7 +67,7 @@ TEST(Streaming, SimulateStreamedMatchesMaterializedRvKernel) {
   const MachineConfig cfg = helper_machine(steering_888_br_lr_cr());
   const SimResult materialized = simulate(cfg, cached_trace(prof, kLen));
   const SimResult streamed = simulate_streamed(cfg, prof, kLen);
-  expect_same_result(materialized, streamed);
+  EXPECT_TRUE(materialized == streamed);
 }
 
 TEST(Streaming, SimulateWorkloadRoutesByThreshold) {
@@ -88,8 +75,8 @@ TEST(Streaming, SimulateWorkloadRoutesByThreshold) {
   // the streaming equivalence above makes the two branches interchangeable.
   const WorkloadProfile& prof = spec_profile("mcf");
   const MachineConfig cfg = monolithic_baseline();
-  expect_same_result(simulate_workload(cfg, prof, kLen),
-                     simulate(cfg, cached_trace(prof, kLen)));
+  EXPECT_TRUE(simulate_workload(cfg, prof, kLen) ==
+              simulate(cfg, cached_trace(prof, kLen)));
 }
 
 TEST(Streaming, ThresholdBoundaryIsInvisible) {
@@ -107,7 +94,7 @@ TEST(Streaming, ThresholdBoundaryIsInvisible) {
   for (u64 len : {u64{999}, u64{1000}, u64{1001}}) {
     const SimResult routed = simulate_workload(cfg, prof, len);
     const SimResult materialized = simulate(cfg, cached_trace(prof, len));
-    expect_same_result(materialized, routed);
+    EXPECT_TRUE(materialized == routed) << "len " << len;
   }
 
   if (old)

@@ -71,9 +71,8 @@ bool assemble_arg(const std::string& arg, rv::RvProgram& prog) {
 }
 
 u64 parse_budget(const char* s) {
-  char* end = nullptr;
-  const u64 v = std::strtoull(s, &end, 10);
-  if (end == s || *end != '\0' || v == 0) {
+  u64 v = 0;
+  if (parse_u64(s, v, 1) != std::errc{}) {
     std::fprintf(stderr, "hcrv: bad --budget '%s'\n", s);
     std::exit(2);
   }

@@ -23,6 +23,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <string>
 
 #include <span>
@@ -36,11 +37,12 @@ using namespace hcsim;
 
 namespace {
 
-u64 parse_u64(const char* flag, const char* s) {
-  char* end = nullptr;
-  const u64 v = std::strtoull(s, &end, 10);
-  if (end == s || *end != '\0' || v == 0) {
-    std::fprintf(stderr, "%s: bad value '%s' (positive integer required)\n", flag, s);
+u64 parse_u64(const char* flag, const char* s,
+              u64 hi = std::numeric_limits<u64>::max()) {
+  u64 v = 0;
+  if (hcsim::parse_u64(s, v, 1, hi) != std::errc{}) {
+    std::fprintf(stderr, "%s: bad value '%s' (positive integer up to %llu required)\n",
+                 flag, s, static_cast<unsigned long long>(hi));
     std::exit(2);
   }
   return v;
@@ -80,7 +82,8 @@ int main(int argc, char** argv) {
     if (arg == "--uops") {
       n_uops = parse_u64("--uops", next());
     } else if (arg == "--reps") {
-      reps = static_cast<unsigned>(parse_u64("--reps", next()));
+      reps = static_cast<unsigned>(
+          parse_u64("--reps", next(), std::numeric_limits<unsigned>::max()));
     } else if (arg == "--label") {
       label = next();
     } else if (arg == "--json") {

@@ -21,6 +21,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -61,13 +62,17 @@ int usage(const char* argv0) {
   return 2;
 }
 
-/// Parse one decimal integer, rejecting trailing garbage ("100k").
-u64 parse_u64(const char* flag, const char* s, bool allow_zero) {
-  char* end = nullptr;
-  const u64 v = std::strtoull(s, &end, 10);
-  if (end == s || *end != '\0' || (!allow_zero && v == 0)) {
-    std::fprintf(stderr, "%s: bad value '%s' (%s integer required)\n", flag, s,
-                 allow_zero ? "non-negative" : "positive");
+/// Parse one decimal integer in [lo, hi], rejecting trailing garbage
+/// ("100k") and signs ("-1").
+u64 parse_u64(const char* flag, const char* s, u64 lo,
+              u64 hi = std::numeric_limits<u64>::max()) {
+  u64 v = 0;
+  if (hcsim::parse_u64(s, v, lo, hi) != std::errc{}) {
+    std::fprintf(stderr, "%s: bad value '%s' (%s integer", flag, s,
+                 lo ? "positive" : "non-negative");
+    if (hi != std::numeric_limits<u64>::max())
+      std::fprintf(stderr, " up to %llu", static_cast<unsigned long long>(hi));
+    std::fprintf(stderr, " required)\n");
     std::exit(2);
   }
   return v;
@@ -134,20 +139,19 @@ int main(int argc, char** argv) {
     if (arg == "--sampled") {
       sampled = true;
     } else if (arg == "--sample-warmup") {
-      spec.warmup = parse_u64("--sample-warmup", next(), /*allow_zero=*/true);
+      spec.warmup = parse_u64("--sample-warmup", next(), 0);
       sampled = true;
     } else if (arg == "--sample-measure") {
-      spec.measure = parse_u64("--sample-measure", next(), /*allow_zero=*/false);
+      spec.measure = parse_u64("--sample-measure", next(), 1);
       sampled = true;
     } else if (arg == "--sample-period") {
-      spec.period = parse_u64("--sample-period", next(), /*allow_zero=*/true);
+      spec.period = parse_u64("--sample-period", next(), 0);
       sampled = true;
     } else if (arg == "--sample-windows") {
-      spec.max_windows = parse_u64("--sample-windows", next(), /*allow_zero=*/true);
+      spec.max_windows = parse_u64("--sample-windows", next(), 0);
       sampled = true;
     } else if (arg == "--threads") {
-      threads = static_cast<unsigned>(
-          parse_u64("--threads", next(), /*allow_zero=*/false));
+      threads = static_cast<unsigned>(parse_u64("--threads", next(), 1, 4096));
     } else if (arg == "--compare-full") {
       compare_full = true;
       sampled = true;
@@ -166,7 +170,7 @@ int main(int argc, char** argv) {
   const SteeringConfig steer =
       scheme_by_name(positional.size() > 1 ? positional[1] : "ir");
   const u64 n = positional.size() > 2
-                    ? parse_u64("n_uops", positional[2].c_str(), /*allow_zero=*/false)
+                    ? parse_u64("n_uops", positional[2].c_str(), 1)
                     : default_trace_len();
   if (sampled) {
     if (spec.measure == 0) spec.measure = sample::kDefaultMeasure;

@@ -46,6 +46,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -102,17 +103,19 @@ bool write_file(const std::string& path, const std::string& content) {
   return f.good();
 }
 
-/// Parse one decimal integer, rejecting trailing garbage ("100k") and,
-/// unless `allow_zero`, the value 0.
-u64 parse_u64(const char* flag, const char* s, bool allow_zero) {
-  char* end = nullptr;
-  const u64 v = std::strtoull(s, &end, 10);
-  if (end == s || *end != '\0' || (!allow_zero && v == 0)) {
+/// Parse one decimal integer in [lo, hi]; anything else is a usage error.
+u64 parse_u64(const char* flag, const char* s, u64 lo,
+              u64 hi = std::numeric_limits<u64>::max()) {
+  u64 v = 0;
+  const std::errc e = hcsim::parse_u64(s, v, lo, hi);
+  if (e == std::errc{}) return v;
+  if (e == std::errc::result_out_of_range && v > hi)
+    std::fprintf(stderr, "%s: %s exceeds the limit of %llu\n", flag, s,
+                 static_cast<unsigned long long>(hi));
+  else
     std::fprintf(stderr, "%s: bad value '%s' (%s integer required)\n", flag, s,
-                 allow_zero ? "non-negative" : "positive");
-    std::exit(2);
-  }
-  return v;
+                 lo ? "positive" : "non-negative");
+  std::exit(2);
 }
 
 /// Parse "s1,s2,..." as positive integers. Exits with a usage error on
@@ -120,22 +123,22 @@ u64 parse_u64(const char* flag, const char* s, bool allow_zero) {
 /// profile's own seed" placeholder, never a valid explicit seed.
 std::vector<u64> parse_u64_list(const char* flag, const char* s) {
   std::vector<u64> out;
-  for (const char* p = s; *p;) {
-    char* end = nullptr;
-    const u64 v = std::strtoull(p, &end, 10);
-    if (end == p || (*end != '\0' && *end != ',') || v == 0) {
+  std::string item;
+  for (const char* p = s;; ++p) {
+    if (*p && *p != ',') {
+      item += *p;
+      continue;
+    }
+    u64 v = 0;
+    if (hcsim::parse_u64(item.c_str(), v, 1) != std::errc{}) {
       std::fprintf(stderr, "%s: bad value in list '%s' (positive integers only)\n",
                    flag, s);
       std::exit(2);
     }
     out.push_back(v);
-    p = (*end == ',') ? end + 1 : end;
+    item.clear();
+    if (!*p) return out;
   }
-  if (out.empty()) {
-    std::fprintf(stderr, "%s: empty list\n", flag);
-    std::exit(2);
-  }
-  return out;
 }
 
 /// Parse one positive decimal double ("0.05"), rejecting trailing garbage.
@@ -198,15 +201,9 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--threads") {
-      const u64 threads = parse_u64("--threads", next(), /*allow_zero=*/true);
-      if (threads > kMaxThreads) {
-        std::fprintf(stderr, "--threads: %llu exceeds the limit of %u\n",
-                     static_cast<unsigned long long>(threads), kMaxThreads);
-        return 2;
-      }
-      opts.threads = static_cast<unsigned>(threads);
+      opts.threads = static_cast<unsigned>(parse_u64("--threads", next(), 0, kMaxThreads));
     } else if (arg == "--len") {
-      len_override = parse_u64("--len", next(), /*allow_zero=*/false);
+      len_override = parse_u64("--len", next(), 1);
       have_len = true;
     } else if (arg == "--seeds") {
       seed_override = parse_u64_list("--seeds", next());
@@ -220,17 +217,16 @@ int main(int argc, char** argv) {
     } else if (arg == "--sampled") {
       sampled = true;
     } else if (arg == "--sample-warmup") {
-      sample_spec.warmup = parse_u64("--sample-warmup", next(), /*allow_zero=*/true);
+      sample_spec.warmup = parse_u64("--sample-warmup", next(), 0);
       sampled = true;
     } else if (arg == "--sample-measure") {
-      sample_spec.measure = parse_u64("--sample-measure", next(), /*allow_zero=*/false);
+      sample_spec.measure = parse_u64("--sample-measure", next(), 1);
       sampled = true;
     } else if (arg == "--sample-period") {
-      sample_spec.period = parse_u64("--sample-period", next(), /*allow_zero=*/true);
+      sample_spec.period = parse_u64("--sample-period", next(), 0);
       sampled = true;
     } else if (arg == "--sample-windows") {
-      sample_spec.max_windows =
-          parse_u64("--sample-windows", next(), /*allow_zero=*/true);
+      sample_spec.max_windows = parse_u64("--sample-windows", next(), 0);
       sampled = true;
     } else if (arg == "--compare-full") {
       compare_full = true;
@@ -241,22 +237,12 @@ int main(int argc, char** argv) {
     } else if (arg == "--journal-dir") {
       journal_dir = next();
     } else if (arg == "--retry") {
-      retries = parse_u64("--retry", next(), /*allow_zero=*/false);
-      if (retries > 1000) {
-        std::fprintf(stderr, "--retry: %llu exceeds the limit of 1000\n",
-                     static_cast<unsigned long long>(retries));
-        return 2;
-      }
+      retries = parse_u64("--retry", next(), 1, 1000);
     } else if (arg == "--retry-backoff-ms") {
-      retry_backoff_ms = parse_u64("--retry-backoff-ms", next(), /*allow_zero=*/true);
+      retry_backoff_ms = parse_u64("--retry-backoff-ms", next(), 0);
     } else if (arg == "--timeout-ms") {
-      timeout_ms = parse_u64("--timeout-ms", next(), /*allow_zero=*/false);
       // The client's deadlines are int milliseconds (poll(2)).
-      if (timeout_ms > static_cast<u64>(INT_MAX)) {
-        std::fprintf(stderr, "--timeout-ms: %llu exceeds the limit of %d\n",
-                     static_cast<unsigned long long>(timeout_ms), INT_MAX);
-        return 2;
-      }
+      timeout_ms = parse_u64("--timeout-ms", next(), 1, INT_MAX);
     } else if (arg == "--no-fallback") {
       no_fallback = true;
     } else if (arg == "--shutdown") {

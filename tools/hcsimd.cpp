@@ -21,9 +21,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include "svc/daemon.hpp"
+#include "util/log.hpp"
 
 namespace {
 
@@ -35,14 +37,17 @@ int usage(const char* argv0) {
   return 2;
 }
 
-hcsim::u64 parse_u64(const char* flag, const char* s) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (end == s || *end != '\0') {
+hcsim::u64 parse_u64(const char* flag, const char* s,
+                     hcsim::u64 hi = std::numeric_limits<hcsim::u64>::max()) {
+  hcsim::u64 v = 0;
+  const std::errc e = hcsim::parse_u64(s, v, 0, hi);
+  if (e == std::errc{}) return v;
+  if (e == std::errc::result_out_of_range && v > hi)
+    std::fprintf(stderr, "%s: %s exceeds the limit of %llu\n", flag, s,
+                 static_cast<unsigned long long>(hi));
+  else
     std::fprintf(stderr, "%s: bad value '%s'\n", flag, s);
-    std::exit(2);
-  }
-  return v;
+  std::exit(2);
 }
 
 }  // namespace
@@ -61,13 +66,7 @@ int main(int argc, char** argv) {
     if (arg == "--socket") {
       opts.socket_path = next();
     } else if (arg == "--threads") {
-      const hcsim::u64 n = parse_u64("--threads", next());
-      if (n > 4096) {
-        std::fprintf(stderr, "--threads: %llu exceeds the limit of 4096\n",
-                     static_cast<unsigned long long>(n));
-        return 2;
-      }
-      opts.threads = static_cast<unsigned>(n);
+      opts.threads = static_cast<unsigned>(parse_u64("--threads", next(), 4096));
     } else if (arg == "--idle-timeout-ms") {
       opts.idle_timeout_ms = parse_u64("--idle-timeout-ms", next());
     } else if (arg == "--conn-idle-timeout-ms") {

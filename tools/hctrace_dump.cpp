@@ -22,7 +22,11 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "failed to load %s\n", argv[1]);
     return 1;
   }
-  const u64 show = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 16;
+  u64 show = 16;
+  if (argc > 2 && parse_u64(argv[2], show) != std::errc{}) {
+    std::fprintf(stderr, "n_records must be a non-negative integer\n");
+    return 2;
+  }
 
   std::printf("trace '%s': %zu dynamic uops, %zu static uops, seed %llu\n\n",
               trace.program.name.c_str(), trace.records.size(),

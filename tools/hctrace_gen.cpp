@@ -5,7 +5,7 @@
 //
 // <profile> is a SPEC Int 2000 name (gcc, mcf, ...), "<category>:<index>"
 // for a Table 2 application (e.g. "mm:17"), or "default" for the base
-// profile. The optional seed overrides the profile's seed.
+// profile. The optional decimal seed overrides the profile's seed.
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -27,7 +27,8 @@ bool resolve_profile(const std::string& name, WorkloadProfile& out) {
   const auto colon = name.find(':');
   if (colon != std::string::npos) {
     const std::string cat_name = name.substr(0, colon);
-    const unsigned index = static_cast<unsigned>(std::atoi(name.c_str() + colon + 1));
+    u64 index = 0;
+    if (parse_u64(name.c_str() + colon + 1, index) != std::errc{}) return false;
     for (const WorkloadCategory& cat : workload_categories()) {
       if (cat.name == cat_name && index < cat.num_traces) {
         out = category_app_profile(cat, index);
@@ -59,12 +60,15 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "unknown profile '%s'\n", argv[1]);
     return 2;
   }
-  const u64 n = std::strtoull(argv[2], nullptr, 10);
-  if (n == 0) {
-    std::fprintf(stderr, "n_uops must be positive\n");
+  u64 n = 0;
+  if (parse_u64(argv[2], n, 1) != std::errc{}) {
+    std::fprintf(stderr, "n_uops must be a positive integer\n");
     return 2;
   }
-  if (argc > 4) prof.seed = std::strtoull(argv[4], nullptr, 0);
+  if (argc > 4 && parse_u64(argv[4], prof.seed) != std::errc{}) {
+    std::fprintf(stderr, "seed must be a non-negative decimal integer\n");
+    return 2;
+  }
 
   const Trace trace = generate_trace(prof, n);
   if (!save_trace(trace, argv[3])) {
