@@ -57,7 +57,7 @@ BENCHMARK(BM_PipelineBatched)->Arg(10000)->Arg(100000);
 
 void BM_PipelineBatchedNoCache(benchmark::State& state) {
   // Cache-disabled twin of BM_PipelineBatched: identical feed path, but
-  // every record re-cracks its template (the HCSIM_BBCACHE=0 debug mode).
+  // every record re-cracks its template (a DecodeCache(false)).
   // The gap between the two is the decode cache's contribution alone.
   const Trace& t = cached_trace(spec_profile("gcc"), static_cast<u64>(state.range(0)));
   const MachineConfig cfg = monolithic_baseline();
@@ -121,9 +121,8 @@ void BM_ClusterEpoch(benchmark::State& state) {
   // The fused per-cluster resource engine alone: a synthetic dispatch
   // stream shaped like the pipeline's (mostly-forward ticks, short source
   // delays, width 3 / queue 32 / 2-tick cycles — the wide cluster).
-  ClusterEpoch e;
-  e.init(/*issue_width=*/3, /*queue_size=*/32, /*copy_ports=*/2,
-         /*cycle_ticks=*/2);
+  ClusterEpoch e(/*issue_width=*/3, /*queue_size=*/32, /*copy_ports=*/2,
+                 /*cycle_ticks=*/2);
   Tick from = 0;
   u32 x = 1;
   u64 sum = 0;

@@ -1,8 +1,5 @@
 #include "bbcache/bb_cache.hpp"
 
-#include <atomic>
-#include <cstdlib>
-
 #include "isa/reg.hpp"
 #include "util/log.hpp"
 #include "util/narrow.hpp"
@@ -29,31 +26,7 @@ constexpr bool cr_eligible_opcode(Opcode op) {
   }
 }
 
-/// -1 = follow the environment; 0/1 = forced by bbcache_set_enabled.
-std::atomic<int> g_enabled_override{-1};
-
-bool env_enabled() {
-  static const bool kEnabled = [] {
-    const char* v = std::getenv("HCSIM_BBCACHE");
-    return !(v && v[0] == '0' && v[1] == '\0');
-  }();
-  return kEnabled;
-}
-
 }  // namespace
-
-bool bbcache_enabled_default() {
-  const int o = g_enabled_override.load(std::memory_order_relaxed);
-  return o < 0 ? env_enabled() : o != 0;
-}
-
-void bbcache_set_enabled(bool enabled) {
-  g_enabled_override.store(enabled ? 1 : 0, std::memory_order_relaxed);
-}
-
-void bbcache_reset_enabled() {
-  g_enabled_override.store(-1, std::memory_order_relaxed);
-}
 
 UopTemplate build_uop_template(const StaticUop& su, const SteeringConfig& steer,
                                unsigned helper_width_bits) {

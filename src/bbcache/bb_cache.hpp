@@ -16,8 +16,8 @@
 // cached template (counted, so hit-rate regressions are observable as
 // bb_cache_* counters). Templates are a pure function of the key, so a
 // shared cache is bit-identical to a private one and to no cache at all;
-// HCSIM_BBCACHE=0 (or bbcache_set_enabled(false)) disables replay for
-// debugging, forcing a fresh crack per record through the same code path.
+// DecodeCache(false) disables replay, forcing a fresh crack per record
+// through the same code path.
 #pragma once
 
 #include <array>
@@ -90,22 +90,14 @@ struct UopTemplate {
 UopTemplate build_uop_template(const StaticUop& su, const SteeringConfig& steer,
                                unsigned helper_width_bits);
 
-/// Process-wide decode-cache enable knob: HCSIM_BBCACHE=0 disables, anything
-/// else (or unset) enables. bbcache_set_enabled overrides the environment
-/// (pass std::nullopt to drop back to it) — tests use it instead of setenv,
-/// which is unsafe while sweep threads run.
-bool bbcache_enabled_default();
-void bbcache_set_enabled(bool enabled);
-void bbcache_reset_enabled();
-
 /// Direct-mapped template store parallel to Program::uops, filled lazily on
 /// first encounter. May be shared across Pipeline instances (and programs):
 /// bind() detects key changes and invalidates.
 class DecodeCache {
  public:
-  /// Enabled per the process-wide knob at construction time.
-  DecodeCache() : enabled_(bbcache_enabled_default()) {}
-  /// Explicitly enabled/disabled, ignoring the knob (test injection).
+  DecodeCache() = default;
+  /// A disabled cache re-cracks every record (the cache-off A/B timings and
+  /// the output-invisibility test).
   explicit DecodeCache(bool enabled) : enabled_(enabled) {}
 
   bool enabled() const { return enabled_; }
@@ -129,7 +121,7 @@ class DecodeCache {
   u64 filled() const { return filled_; }
 
  private:
-  bool enabled_;
+  bool enabled_ = true;
   const Program* program_ = nullptr;
   std::size_t program_size_ = 0;
   std::string program_name_;

@@ -2,90 +2,15 @@
 
 namespace hcsim {
 
-void ClusterEpoch::init(unsigned issue_width, unsigned queue_size,
-                        unsigned copy_ports, Tick cycle_ticks) {
-  HCSIM_CHECK(issue_width > 0 && issue_width < 256,
-              "ClusterEpoch issue width out of range");
+ClusterEpoch::ClusterEpoch(unsigned issue_width, unsigned queue_size,
+                           unsigned copy_ports, Tick cycle_ticks)
+    : clock_(cycle_ticks),
+      size_(queue_size),
+      qring_(kInitialQueueCycles, 0),
+      qocc_(kInitialQueueCycles / 64, 0),
+      issue_(issue_width, cycle_ticks),
+      copy_(copy_ports, cycle_ticks) {
   HCSIM_CHECK(queue_size > 0, "ClusterEpoch queue size must be positive");
-  HCSIM_CHECK(cycle_ticks > 0, "ClusterEpoch cycle_ticks must be positive");
-  cycle_ticks_ = cycle_ticks;
-  pow2_ = std::has_single_bit(static_cast<u64>(cycle_ticks_));
-  shift_ = static_cast<unsigned>(std::countr_zero(static_cast<u64>(cycle_ticks_)));
-  size_ = queue_size;
-  qring_.assign(kInitialQueueCycles, 0);
-  qocc_.assign(kInitialQueueCycles / 64, 0);
-  qmask_ = kInitialQueueCycles - 1;
-  issue_.width = issue_width;
-  issue_.used.assign(kWindowCycles, 0);
-  issue_.full.assign(kWindowCycles / 64, 0);
-  copy_.width = copy_ports;
-  if (copy_ports > 0) {
-    copy_.used.assign(kWindowCycles, 0);
-    copy_.full.assign(kWindowCycles / 64, 0);
-  }
-}
-
-u64 ClusterEpoch::first_nonfull(const SlotRing& r, u64 cycle) const {
-  // kWindowCycles is a multiple of 64, so consecutive cycles within one
-  // bitmap word are consecutive ring positions: scan a word at a time.
-  const u64 end = r.frontier + 1;
-  u64 c = cycle;
-  while (c < end) {
-    const u64 pos = c & kMask;
-    const u64 free_bits = ~r.full[pos >> 6] >> (pos & 63);
-    if (free_bits != 0) {
-      const u64 cand = c + static_cast<u64>(std::countr_zero(free_bits));
-      return cand < end ? cand : end;
-    }
-    c += 64 - (pos & 63);
-  }
-  return end;
-}
-
-void ClusterEpoch::gc_ring(SlotRing& r, u64 new_base) {
-  if (new_base <= r.base) return;
-  if (new_base - r.base >= kWindowCycles) {
-    std::fill(r.used.begin(), r.used.end(), u8{0});
-    std::fill(r.full.begin(), r.full.end(), u64{0});
-  } else {
-    for (u64 c = r.base; c < new_base; ++c) {
-      r.used[c & kMask] = 0;
-      r.full[(c & kMask) >> 6] &= ~(u64{1} << (c & 63));
-    }
-  }
-  r.base = new_base;
-}
-
-SlotRangeProbe ClusterEpoch::free_issue_slot_in(Tick from, Tick until) const {
-  SlotRangeProbe p;
-  if (until <= from) return p;
-  u64 c0 = to_cycle(from);
-  const u64 c1 = to_cycle(until - 1);  // last cycle overlapping the range
-  if (c0 < issue_.base) {
-    p.truncated = true;
-    c0 = issue_.base;
-    if (c0 > c1) return p;
-  }
-  if (c1 > issue_.frontier) {
-    p.free = true;  // cycles past the frontier are empty
-    return p;
-  }
-  p.free = first_nonfull(issue_, c0) <= c1;
-  return p;
-}
-
-u64 ClusterEpoch::next_occupied(u64 from) const {
-  u64 c = from;
-  while (c < qtail_) {
-    const u64 pos = c & qmask_;
-    const u64 bits = qocc_[pos >> 6] >> (pos & 63);
-    if (bits != 0) {
-      const u64 cand = c + static_cast<u64>(std::countr_zero(bits));
-      return cand < qtail_ ? cand : kNoCycle;
-    }
-    c += 64 - (pos & 63);
-  }
-  return kNoCycle;
 }
 
 void ClusterEpoch::drain_cycles(u64 target_cycle) {
@@ -129,7 +54,7 @@ Tick ClusterEpoch::earliest_dispatch_full() const {
   // (full_at_cycle_, full_slack_) cache amortizing repeated probes while
   // the queue stays saturated. Invalidation matches the tick-domain rule:
   // a drain past the cached answer makes head_tick_ exceed its tick.
-  if (head_tick_ > from_cycle(full_at_cycle_)) {
+  if (head_tick_ > clock_.from_cycle(full_at_cycle_)) {
     u64 need = live_ - size_ + 1;
     u64 c = qnext_;  // live_ >= size_ >= 1, so an occupied bucket exists
     for (;;) {
@@ -138,7 +63,7 @@ Tick ClusterEpoch::earliest_dispatch_full() const {
       if (n >= need) {
         full_at_cycle_ = c;
         full_slack_ = static_cast<i64>(n - need);
-        return from_cycle(c);
+        return clock_.from_cycle(c);
       }
       need -= n;
       c = next_occupied(c + 1);
@@ -150,7 +75,7 @@ Tick ClusterEpoch::earliest_dispatch_full() const {
     full_slack_ += static_cast<i64>(qring_[c & qmask_]);
     full_at_cycle_ = c;
   }
-  return from_cycle(full_at_cycle_);
+  return clock_.from_cycle(full_at_cycle_);
 }
 
 }  // namespace hcsim

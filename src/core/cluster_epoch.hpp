@@ -1,36 +1,29 @@
-// hcsim — per-cluster epoch engine: the fused cluster resource model.
+// hcsim — per-cluster epoch engine: one backend's scheduling resources.
 //
-// The pipeline used to probe three separate structures per dynamic µop and
-// cluster — a SlotSchedule for issue slots, a QueueTracker for issue-queue
-// occupancy, and a second SlotSchedule for copy ports — each behind its own
-// heap allocation, each re-deriving the tick→cycle conversion, and each
-// paying its own drain/GC bookkeeping per probe. ClusterEpoch fuses all
-// three into one cluster-local engine that processes time as a sequence of
-// cycle *epochs*:
+// Every backend has the same three resources (Section 4: the copy scheme
+// "requires its own scheduling resources"): issue slots, an issue queue and
+// copy ports. The two slot ledgers are plain SlotSchedules
+// (util/slot_schedule.hpp), the same class that backs the cache ports.
+// What ClusterEpoch adds is its own:
 //
-//   * Issue slots keep the ring-of-per-cycle-counts representation, but the
-//     steady-state window slide (one cycle of GC per frontier advance) is
-//     open-coded in the reserve fast path instead of a call.
-//   * Queue occupancy is ledgered per *cycle bucket* (every departure tick
+//   * The issue-queue ledger, kept per *cycle bucket* (every departure tick
 //     is cycle-aligned — it comes from an issue-slot reservation), not per
 //     tick: half the ring traffic at the wide clock. Two epoch cursors —
 //     `qdrained_` (buckets below are retired) and `qnext_` (earliest
 //     occupied bucket) — make the per-µop drain a pair of compares; bucket
 //     scans happen once per epoch advance, not once per probe.
-//   * dispatch() fuses the earliest_dispatch → reserve → add triple into a
-//     single call so the whole per-µop resource interaction touches one
-//     object whose hot header shares a cache line.
+//   * dispatch(), which fuses the earliest_dispatch → reserve → add triple
+//     into a single call so the whole per-µop resource interaction touches
+//     one object.
 //
-// Semantics are tick-exact with the separate structures by construction —
-// the same window length, the same GC-horizon truncation, the same
-// queue-full walk with the same (answer, slack) amortization, the same
-// "already departed" add guard — and enforced by the differential fuzz in
-// tests/test_cluster_epoch.cpp, whose oracle is SlotSchedule plus the
+// The queue ledger is tick-exact with the per-tick QueueTracker by
+// construction — the same queue-full walk with the same (answer, slack)
+// amortization and the same "already departed" add guard — and enforced by
+// the differential fuzz in tests/test_cluster_epoch.cpp, whose oracle is the
 // test-side QueueTracker (tests/queue_tracker.hpp), and by the golden
 // sweeps captured before the fusion.
 #pragma once
 
-#include <bit>
 #include <vector>
 
 #include "util/log.hpp"
@@ -41,13 +34,8 @@ namespace hcsim {
 
 class ClusterEpoch {
  public:
-  /// An engine with no storage; init() before use. (Pipeline embeds one per
-  /// backend by value.)
-  ClusterEpoch() = default;
-
-  /// `copy_ports` == 0 means the cluster schedules no copies (FP).
-  void init(unsigned issue_width, unsigned queue_size, unsigned copy_ports,
-            Tick cycle_ticks);
+  ClusterEpoch(unsigned issue_width, unsigned queue_size, unsigned copy_ports,
+               Tick cycle_ticks);
 
   /// Fused per-µop resource interaction, equivalent to the separate-structure
   /// sequence
@@ -63,7 +51,7 @@ class ClusterEpoch {
   Dispatched dispatch(Tick from, Tick src_ready) {
     const Tick qdisp = earliest_dispatch(from);
     const Tick ready = src_ready > qdisp ? src_ready : qdisp;
-    const Tick issue = reserve_ring(issue_, ready);
+    const Tick issue = issue_.reserve(ready);
     queue_add(issue);
     return {qdisp, ready, issue};
   }
@@ -92,7 +80,7 @@ class ClusterEpoch {
     // Same guard as QueueTracker::add — an entry departing at or below the
     // drain head already "left" the queue.
     if (issue < head_tick_) [[unlikely]] return;
-    const u64 c = to_cycle(issue);
+    const u64 c = clock_.to_cycle(issue);
     if (c - qdrained_ > qmask_) [[unlikely]] grow_queue(c);
     const u64 pos = c & qmask_;
     if (qring_[pos]++ == 0) qocc_[pos >> 6] |= u64{1} << (pos & 63);
@@ -110,22 +98,18 @@ class ClusterEpoch {
     return static_cast<unsigned>(live_);
   }
 
-  /// Reserve a copy port: identical to SlotSchedule::reserve on the copy
-  /// ring. Only valid when constructed with copy_ports > 0.
-  Tick reserve_copy(Tick ready) { return reserve_ring(copy_, ready); }
+  /// Reserve a copy port (SlotSchedule::reserve on the copy ledger).
+  Tick reserve_copy(Tick ready) { return copy_.reserve(ready); }
 
-  /// NREADY range probe over the *issue* slots: identical semantics
-  /// (including the GC-horizon truncation) to SlotSchedule::free_slot_in.
-  SlotRangeProbe free_issue_slot_in(Tick from, Tick until) const;
+  /// NREADY range probe over the issue slots (SlotSchedule::free_slot_in).
+  SlotRangeProbe free_issue_slot_in(Tick from, Tick until) const {
+    return issue_.free_slot_in(from, until);
+  }
 
   unsigned queue_size() const { return size_; }
-  u64 issue_reservations() const { return issue_.reservations; }
+  u64 issue_reservations() const { return issue_.reservations(); }
 
  private:
-  /// Sliding-window length of a slot ring in cycles; must match
-  /// SlotSchedule::kWindowCycles so GC-horizon truncation is identical.
-  static constexpr u64 kWindowCycles = kSlotWindowCycles;
-  static constexpr u64 kMask = kWindowCycles - 1;
   /// Initial queue-ledger span in cycle buckets (power of two, multiple of
   /// 64); grows by doubling. Departures spread over at most a main-memory
   /// round trip, so 16k cycles is generous.
@@ -133,56 +117,11 @@ class ClusterEpoch {
   /// "No occupied bucket" sentinel; compares greater than any real cycle.
   static constexpr u64 kNoCycle = ~u64{0};
 
-  /// Issue-slot / copy-port ledger: ring of per-cycle reservation counts
-  /// with a full-cycle bitmap, exactly SlotSchedule's representation.
-  struct SlotRing {
-    std::vector<u8> used;   // per-cycle reservation counts (ring)
-    std::vector<u64> full;  // bitmap: cycle saturated (used == width)
-    u64 base = 0;           // GC horizon: lowest cycle still tracked
-    u64 frontier = 0;       // highest cycle ever reserved
-    u64 reservations = 0;
-    unsigned width = 0;
-  };
-
-  u64 to_cycle(Tick t) const { return pow2_ ? (t >> shift_) : (t / cycle_ticks_); }
-  Tick from_cycle(u64 c) const { return pow2_ ? (c << shift_) : (c * cycle_ticks_); }
-
-  /// SlotSchedule::reserve, open-coded: next-cycle fast path, bitmap scan
-  /// fallback, and the steady-state single-cycle window slide inline.
-  Tick reserve_ring(SlotRing& r, Tick earliest) {
-    u64 cycle = to_cycle(earliest);
-    if (cycle < r.base) cycle = r.base;
-    if (cycle <= r.frontier && r.used[cycle & kMask] >= r.width) {
-      const u64 nxt = cycle + 1;
-      if (nxt > r.frontier || r.used[nxt & kMask] < r.width)
-        cycle = nxt;
-      else
-        cycle = first_nonfull(r, nxt);
-    }
-    if (cycle >= r.base + kWindowCycles) [[unlikely]] {
-      // In steady state the frontier advances one cycle at a time, so the
-      // window slides by one: open-code that step, fall back for jumps.
-      if (cycle == r.base + kWindowCycles) {
-        r.used[r.base & kMask] = 0;
-        r.full[(r.base & kMask) >> 6] &= ~(u64{1} << (r.base & 63));
-        ++r.base;
-      } else {
-        gc_ring(r, cycle - kWindowCycles + 1);
-      }
-    }
-    u8& used = r.used[cycle & kMask];
-    ++used;
-    if (used == r.width) r.full[(cycle & kMask) >> 6] |= u64{1} << (cycle & 63);
-    if (cycle > r.frontier) r.frontier = cycle;
-    ++r.reservations;
-    return from_cycle(cycle);
-  }
-
   /// Retire every queue entry departing below head_tick_ (the deferred
   /// drain). Requires head_tick_ > 0 — both callers bump it first. Buckets
   /// are only walked when the drain cursor actually crosses occupied cycles.
   void catch_up() {
-    const u64 tc = to_cycle(head_tick_ - 1) + 1;  // retire cycles < tc
+    const u64 tc = clock_.to_cycle(head_tick_ - 1) + 1;  // retire cycles < tc
     if (tc <= qdrained_) return;
     if (tc <= qnext_) {  // nothing occupied below the target epoch
       qdrained_ = tc;
@@ -195,21 +134,20 @@ class ClusterEpoch {
   Tick earliest_dispatch_full() const;  // the queue-full walk
   void grow_queue(u64 cycle);
   /// First occupied bucket cycle >= `from`; kNoCycle if none below qtail_.
-  u64 next_occupied(u64 from) const;
-  u64 first_nonfull(const SlotRing& r, u64 cycle) const;
-  void gc_ring(SlotRing& r, u64 new_base);
+  u64 next_occupied(u64 from) const {
+    const u64 c = ring_scan(qocc_, qmask_, from, qtail_, /*find_set=*/true);
+    return c < qtail_ ? c : kNoCycle;
+  }
 
   // --- hot header (shared by every per-µop probe) -------------------------
-  Tick cycle_ticks_ = 1;
-  bool pow2_ = true;
-  unsigned shift_ = 0;
-  unsigned size_ = 0;      // queue capacity
+  CycleClock clock_;
+  unsigned size_;          // queue capacity
   u64 live_ = 0;           // entries currently in the queue
   u64 qdrained_ = 0;       // buckets with cycle < qdrained_ are retired
   u64 qnext_ = kNoCycle;   // earliest occupied bucket cycle
   Tick head_tick_ = 0;     // every departure tick < head_tick_ is drained
   u64 qtail_ = 0;          // one past the largest occupied bucket cycle
-  u64 qmask_ = 0;
+  u64 qmask_ = kInitialQueueCycles - 1;
 
   // Queue-full answer cache, exactly QueueTracker's (full_at_, full_slack_)
   // amortization in the cycle domain. Mutable: invisible to query results.
@@ -219,8 +157,8 @@ class ClusterEpoch {
   std::vector<u32> qring_;  // per-cycle-bucket departure counts
   std::vector<u64> qocc_;   // bitmap: bucket non-empty
 
-  SlotRing issue_;
-  SlotRing copy_;
+  SlotSchedule issue_;
+  SlotSchedule copy_;
 };
 
 }  // namespace hcsim

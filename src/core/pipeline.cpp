@@ -1,7 +1,6 @@
 #include "core/pipeline.hpp"
 
 #include <algorithm>
-#include <bit>
 
 #include "util/log.hpp"
 #include "util/narrow.hpp"
@@ -35,14 +34,15 @@ Pipeline::Pipeline(const MachineConfig& cfg, const Program& program,
       wpred_(cfg.wpred),
       bpred_(cfg.bpred),
       memsys_(cfg.mem),
+      wide_clock_(cfg.ticks_per_wide_cycle),
       fetch_slots_(cfg.fetch_width, cfg.ticks_per_wide_cycle),
       rename_slots_(cfg.rename_width, cfg.ticks_per_wide_cycle),
-      commit_slots_(cfg.commit_width, cfg.ticks_per_wide_cycle) {
-  epochs_[kWideIdx].init(cfg.issue_wide, cfg.iq_wide, cfg.copy_ports,
-                         cfg.ticks_per_wide_cycle);
-  epochs_[kHelperIdx].init(cfg.issue_helper, cfg.iq_helper, cfg.copy_ports, Tick{1});
-  epochs_[kFpIdx].init(cfg.issue_fp, cfg.iq_fp, /*copy_ports=*/0,
-                       cfg.ticks_per_wide_cycle);
+      commit_slots_(cfg.commit_width, cfg.ticks_per_wide_cycle),
+      epochs_{ClusterEpoch(cfg.issue_wide, cfg.iq_wide, cfg.copy_ports,
+                           cfg.ticks_per_wide_cycle),
+              ClusterEpoch(cfg.issue_helper, cfg.iq_helper, cfg.copy_ports, Tick{1}),
+              ClusterEpoch(cfg.issue_fp, cfg.iq_fp, cfg.copy_ports,
+                           cfg.ticks_per_wide_cycle)} {
   regs_ = std::make_unique<std::array<RegState, kNumRegs>>();
   rob_commit_.assign(cfg.rob_entries, 0);
   cp_window_.assign(2 * cfg.rob_entries, CpTrainEntry{});
@@ -51,8 +51,6 @@ Pipeline::Pipeline(const MachineConfig& cfg, const Program& program,
 
   frontend_ticks_ = cfg.frontend_depth * wide_ticks();
   width_bits_ = cfg.helper_width_bits;
-  wt_pow2_ = std::has_single_bit(static_cast<u64>(wide_ticks()));
-  wt_shift_ = static_cast<unsigned>(std::countr_zero(static_cast<u64>(wide_ticks())));
   // decide() consults issue-queue occupancy only for the IR imbalance
   // trigger and the balance throttle; skipping the occupancy probes
   // otherwise is output-invisible because the queue ledger's lazy drain is
@@ -160,11 +158,8 @@ void Pipeline::train_cp_window(SeqNum upto_seq) {
 Tick Pipeline::memory_access(SeqNum seq, u32 addr, bool is_store, bool,
                              Tick agu_done) {
   const Tick wt = wide_ticks();
-  // Runs for every load/store; the tick→wide-cycle ceil-division is a shift
-  // for the power-of-two clock ratios (1, 2, 4 — everything but the ratio
-  // ablation's 3).
-  const u64 agu_up = agu_done + wt - 1;
-  const u64 agu_cycle = wt_pow2_ ? (agu_up >> wt_shift_) : (agu_up / wt);
+  // The wide cycle in which address generation has finished (rounded up).
+  const u64 agu_cycle = wide_clock_.to_cycle(agu_done + wt - 1);
   if (is_store) {
     mob_.add_store(seq, addr, agu_done);
     // The store's cache access happens post-commit; charge the hierarchy now
@@ -180,7 +175,7 @@ Tick Pipeline::memory_access(SeqNum seq, u32 addr, bool is_store, bool,
   }
   const u64 done_cycle = memsys_.access(agu_cycle, addr, /*is_store=*/false);
   res_.counters[Counter::kLoadAccesses]++;
-  return done_cycle * wt;
+  return wide_clock_.from_cycle(done_cycle);
 }
 
 // ---------------------------------------------------------------------------

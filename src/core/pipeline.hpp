@@ -200,8 +200,7 @@ class Pipeline {
   // Config facts hoisted out of the per-µop walk.
   Tick frontend_ticks_ = 0;   // frontend_depth * wide_ticks
   unsigned width_bits_ = 8;   // helper datapath width
-  bool wt_pow2_ = true;       // ticks_per_wide_cycle is a power of two
-  unsigned wt_shift_ = 1;     // log2(ticks_per_wide_cycle) when wt_pow2_
+  CycleClock wide_clock_;     // tick↔wide-cycle conversion
   bool needs_occ_ = false;    // decide() reads issue-queue occupancy
   bool cr_on_ = false;
   bool lr_on_ = false;

@@ -338,6 +338,21 @@ bool decode(wire::Reader& r, JobRequest& req) {
          r.get_u64(req.max_windows);
 }
 
+bool resolve_sample_spec(const JobRequest& req, sample::SampleSpec& spec,
+                         std::string& error) {
+  spec = sample::SampleSpec{};
+  if (!req.sampled) return true;
+  spec.warmup = req.warmup != 0 ? req.warmup : sample::kDefaultWarmup;
+  spec.measure = req.measure != 0 ? req.measure : sample::kDefaultMeasure;
+  spec.period = req.period;
+  spec.max_windows = req.max_windows;
+  if (spec.period != 0 && spec.period < spec.warmup + spec.measure) {
+    error = "sample period smaller than warmup + measure";
+    return false;
+  }
+  return true;
+}
+
 u64 job_id(const JobRequest& req) {
   std::vector<u8> body;
   body.reserve(512);

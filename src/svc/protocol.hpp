@@ -22,6 +22,7 @@
 
 #include "core/machine_config.hpp"
 #include "core/sim_result.hpp"
+#include "sample/spec.hpp"
 #include "trace/wire.hpp"
 #include "util/types.hpp"
 #include "wload/profile.hpp"
@@ -119,6 +120,14 @@ struct JobRequest {
 
 void encode(std::vector<u8>& buf, const JobRequest& req);
 bool decode(wire::Reader& r, JobRequest& req);
+
+/// The sampling schedule a job's five wire fields describe: disabled unless
+/// `sampled`, with a zero warmup/measure meaning the sample:: defaults. The
+/// daemon and the fault-tolerant client both resolve through here, so the
+/// local fallback runs exactly the daemon's windows. False (with `error`)
+/// when the period is smaller than warmup + measure.
+bool resolve_sample_spec(const JobRequest& req, sample::SampleSpec& spec,
+                         std::string& error);
 
 /// Stable content-addressed job identity: FNV-1a 64 over the canonical
 /// encoding of everything that determines the result (config, profile,

@@ -78,21 +78,16 @@ FtStatus run_sweep_ft(const exp::SweepSpec& spec, const FtSweepOptions& opts,
     if (opts.log) opts.log(msg);
   };
 
-  // Resolve the sample spec up front with the same defaulting the daemon
-  // applies, so the local fallback and the remote path run identical windows.
+  JobRequest proto;
+  proto.sampled = opts.sampled;
+  proto.warmup = opts.warmup;
+  proto.measure = opts.measure;
+  proto.period = opts.period;
+  proto.max_windows = opts.max_windows;
+  // Resolve the sample spec up front exactly as the daemon does, so the
+  // local fallback and the remote path run identical windows.
   sample::SampleSpec sample_spec;
-  if (opts.sampled) {
-    sample_spec.warmup = opts.warmup != 0 ? opts.warmup : sample::kDefaultWarmup;
-    sample_spec.measure =
-        opts.measure != 0 ? opts.measure : sample::kDefaultMeasure;
-    sample_spec.period = opts.period;
-    sample_spec.max_windows = opts.max_windows;
-    if (sample_spec.period != 0 &&
-        sample_spec.period < sample_spec.warmup + sample_spec.measure) {
-      error = "sample period smaller than warmup + measure";
-      return FtStatus::kBadSpec;
-    }
-  }
+  if (!resolve_sample_spec(proto, sample_spec, error)) return FtStatus::kBadSpec;
 
   const std::vector<exp::ExperimentPoint> points = exp::expand(spec);
   if (points.empty()) {
@@ -104,13 +99,6 @@ FtStatus run_sweep_ft(const exp::SweepSpec& spec, const FtSweepOptions& opts,
   // one baseline job per (workload, seed, len) cell plus one job per point.
   // Jobs are deduplicated by id — a variant whose machine equals the
   // baseline collapses onto the cell job.
-  JobRequest proto;
-  proto.sampled = opts.sampled;
-  proto.warmup = opts.warmup;
-  proto.measure = opts.measure;
-  proto.period = opts.period;
-  proto.max_windows = opts.max_windows;
-
   std::vector<JobRequest> jobs;        // unique, stable submission order
   std::unordered_map<u64, u32> job_of;  // id -> index in `jobs`
   const auto add_job = [&](const MachineConfig& config,

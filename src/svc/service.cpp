@@ -47,17 +47,7 @@ bool SweepService::run_jobs(const std::vector<JobRequest>& reqs,
   }
 
   sample::SampleSpec sample_spec;
-  if (first.sampled) {
-    sample_spec.warmup = first.warmup != 0 ? first.warmup : sample::kDefaultWarmup;
-    sample_spec.measure = first.measure != 0 ? first.measure : sample::kDefaultMeasure;
-    sample_spec.period = first.period;
-    sample_spec.max_windows = first.max_windows;
-    if (sample_spec.period != 0 &&
-        sample_spec.period < sample_spec.warmup + sample_spec.measure) {
-      error = "sample period smaller than warmup + measure";
-      return false;
-    }
-  }
+  if (!resolve_sample_spec(first, sample_spec, error)) return false;
 
   std::lock_guard<std::mutex> job(job_mu_);
   sample::set_active_sample_spec(sample_spec);

@@ -18,35 +18,18 @@ void SlotSchedule::gc_to(u64 new_base) {
   base_ = new_base;
 }
 
-u64 SlotSchedule::first_nonfull(u64 cycle) const {
-  // kWindowCycles is a multiple of 64, so consecutive cycles within one
-  // bitmap word are consecutive ring positions: scan a word at a time.
-  const u64 end = frontier_ + 1;
-  u64 c = cycle;
-  while (c < end) {
-    const u64 pos = c & kMask;
-    const u64 free_bits = ~full_[pos >> 6] >> (pos & 63);
-    if (free_bits != 0) {
-      const u64 cand = c + static_cast<u64>(std::countr_zero(free_bits));
-      return cand < end ? cand : end;
-    }
-    c += 64 - (pos & 63);
-  }
-  return end;
-}
-
 bool SlotSchedule::has_free_slot(Tick tick) const {
-  const u64 cycle = to_cycle(tick);
+  const u64 cycle = clock_.to_cycle(tick);
   if (cycle < base_) return false;
   if (cycle > frontier_) return true;
-  return slot(cycle) < width_;
+  return used_[cycle & kMask] < width_;
 }
 
-SlotSchedule::RangeProbe SlotSchedule::free_slot_in(Tick from, Tick until) const {
-  RangeProbe p;
+SlotRangeProbe SlotSchedule::free_slot_in(Tick from, Tick until) const {
+  SlotRangeProbe p;
   if (until <= from) return p;
-  u64 c0 = to_cycle(from);
-  const u64 c1 = to_cycle(until - 1);  // last cycle overlapping the range
+  u64 c0 = clock_.to_cycle(from);
+  const u64 c1 = clock_.to_cycle(until - 1);  // last cycle overlapping the range
   if (c0 < base_) {
     p.truncated = true;
     c0 = base_;

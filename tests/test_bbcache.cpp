@@ -166,17 +166,5 @@ TEST(BbCache, WidthLaneBlockMatchesIsNarrow) {
   }
 }
 
-TEST(BbCache, EnableKnobOverride) {
-  bbcache_set_enabled(false);
-  EXPECT_FALSE(bbcache_enabled_default());
-  EXPECT_FALSE(DecodeCache{}.enabled());
-  bbcache_set_enabled(true);
-  EXPECT_TRUE(bbcache_enabled_default());
-  bbcache_reset_enabled();
-  // Back to the environment default (enabled unless HCSIM_BBCACHE=0, which
-  // the test harness does not set).
-  EXPECT_TRUE(DecodeCache{}.enabled());
-}
-
 }  // namespace
 }  // namespace hcsim

@@ -1,15 +1,19 @@
-// Differential tests for the fused per-cluster epoch engine.
+// Differential tests for the per-cluster epoch engine.
 //
 // ClusterEpoch replaced the SlotSchedule + QueueTracker + SlotSchedule
-// triple on the pipeline hot path; that triple (SlotSchedule from src/, the
-// per-tick QueueTracker from queue_tracker.hpp) is the reference model. The
-// fuzz drives both through long randomized sequences shaped like the
-// pipeline's actual usage — mostly-forward dispatch ticks with occasional
-// far jumps, source-ready ticks that sometimes land far in the future,
-// interleaved occupancy probes, copy-port reservations and NREADY range
-// probes — and demands tick-exact agreement on every reply. The suite runs
-// under the sanitizer CI job, so the fuzz also shakes out any OOB in the
-// engine's ring/bitmap arithmetic.
+// triple on the pipeline hot path. Its issue slots and copy ports are now
+// SlotSchedules again — the same class, whose own spec is
+// tests/test_slot_schedule.cpp — so what the fuzz checks is the part
+// ClusterEpoch owns: the cycle-bucketed queue ledger against the per-tick
+// QueueTracker oracle (queue_tracker.hpp), and the fused dispatch() against
+// the separate earliest_dispatch → reserve → add sequence. The fuzz drives
+// both through long randomized sequences shaped like the pipeline's actual
+// usage — mostly-forward dispatch ticks with occasional far jumps,
+// source-ready ticks that sometimes land far in the future, interleaved
+// occupancy probes, copy-port reservations and NREADY range probes — and
+// demands tick-exact agreement on every reply. The suite runs under the
+// sanitizer CI job, so the fuzz also shakes out any OOB in the queue
+// ledger's ring/bitmap arithmetic.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -31,9 +35,7 @@ struct ReferenceCluster {
 
   ReferenceCluster(unsigned width, unsigned qsize, unsigned copy_ports,
                    Tick cycle_ticks)
-      : slots(width, cycle_ticks),
-        queue(qsize),
-        copy(copy_ports > 0 ? copy_ports : 1, cycle_ticks) {}
+      : slots(width, cycle_ticks), queue(qsize), copy(copy_ports, cycle_ticks) {}
 
   ClusterEpoch::Dispatched dispatch(Tick from, Tick src_ready) {
     const Tick qdisp = queue.earliest_dispatch(from);
@@ -52,8 +54,7 @@ struct FuzzConfig {
 };
 
 void run_fuzz(const FuzzConfig& cfg, u64 seed, int ops) {
-  ClusterEpoch engine;
-  engine.init(cfg.width, cfg.qsize, cfg.copy_ports, cfg.cycle_ticks);
+  ClusterEpoch engine(cfg.width, cfg.qsize, cfg.copy_ports, cfg.cycle_ticks);
   ReferenceCluster ref(cfg.width, cfg.qsize, cfg.copy_ports, cfg.cycle_ticks);
 
   Rng rng(seed);
@@ -81,7 +82,7 @@ void run_fuzz(const FuzzConfig& cfg, u64 seed, int ops) {
     } else if (kind == 7) {
       ASSERT_EQ(engine.occupancy(from), ref.queue.occupancy(from))
           << "op " << op;
-    } else if (kind == 8 && cfg.copy_ports > 0) {
+    } else if (kind == 8) {
       const Tick ready = from + rng.below(8);
       ASSERT_EQ(engine.reserve_copy(ready), ref.copy.reserve(ready))
           << "op " << op;
@@ -104,7 +105,7 @@ TEST(ClusterEpochFuzz, MatchesLegacyTripleAcrossGeometries) {
   for (unsigned width : {1u, 2u, 3u}) {
     for (unsigned qsize : {2u, 4u, 32u}) {
       for (Tick cycle_ticks : {Tick{1}, Tick{2}, Tick{3}}) {
-        for (unsigned copy_ports : {0u, 2u}) {
+        for (unsigned copy_ports : {1u, 2u}) {
           run_fuzz({width, qsize, copy_ports, cycle_ticks},
                    /*seed=*/0x9E3779B9u + seed++, /*ops=*/20000);
           if (HasFatalFailure()) return;
@@ -118,14 +119,13 @@ TEST(ClusterEpochFuzz, SaturatedQueueLongRun) {
   // Pin the dispatch tick to a slow crawl with large source delays so the
   // queue spends most of the run full: the earliest_dispatch_full walk and
   // its (answer, slack) cache are the trickiest shared logic.
-  run_fuzz({2, 2, 0, Tick{2}}, /*seed=*/0xF0752ull, /*ops=*/60000);
+  run_fuzz({2, 2, 1, Tick{2}}, /*seed=*/0xF0752ull, /*ops=*/60000);
 }
 
 TEST(ClusterEpoch, DispatchMatchesLegacyStepByStep) {
   // A hand-checked miniature of the fused call: width 1, queue 1 — the
   // second dispatch must wait for the first entry's departure.
-  ClusterEpoch e;
-  e.init(/*width=*/1, /*qsize=*/1, /*copy_ports=*/0, /*cycle_ticks=*/1);
+  ClusterEpoch e(/*width=*/1, /*qsize=*/1, /*copy_ports=*/1, /*cycle_ticks=*/1);
   const auto a = e.dispatch(/*from=*/0, /*src_ready=*/10);
   EXPECT_EQ(a.qdisp, 0u);
   EXPECT_EQ(a.ready, 10u);
@@ -137,8 +137,7 @@ TEST(ClusterEpoch, DispatchMatchesLegacyStepByStep) {
 }
 
 TEST(ClusterEpoch, OccupancyDrainsAtIssueTicks) {
-  ClusterEpoch e;
-  e.init(2, 4, 0, Tick{1});
+  ClusterEpoch e(2, 4, 1, Tick{1});
   (void)e.dispatch(0, 10);  // issues at 10
   (void)e.dispatch(0, 12);  // issues at 12
   EXPECT_EQ(e.occupancy(5), 2u);

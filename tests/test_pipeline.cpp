@@ -175,6 +175,30 @@ TEST(Pipeline, CrossClusterDependencyGeneratesCopies) {
   EXPECT_GT(r.copies_n2w, 0u);
 }
 
+TEST(Pipeline, FpProducerFeedsIntegerConsumerThroughCopyPort) {
+  // An integer µop reading an FP result needs a copy out of the FP backend,
+  // which has copy ports like the other two. Each FpAdd redefines F0, so
+  // every consumer instance pays exactly one FP→int copy — on the baseline
+  // and on a helper machine alike (the wide values keep the consumer off
+  // the helper).
+  TraceBuilder tb;
+  StaticUop fadd;
+  fadd.opcode = Opcode::kFpAdd;
+  fadd.dst = kRegF0;
+  fadd.srcs = {kRegF0, kRegF0, kRegNone};
+  TraceRecord fr;
+  fr.src_vals = {0x3F800000u, 0x3F800000u, 0};
+  fr.result = 0x40000000u;
+  tb.emit(fadd, fr);
+  tb.add(kRegEax, kRegF0, kRegEax, 0x40000000u, 0x12345678u);
+  tb.repeat_all(500);
+  for (const MachineConfig& cfg : {baseline(), helper_machine(steering_888())}) {
+    const SimResult r = simulate(cfg, tb.trace);
+    EXPECT_EQ(r.uops, 1000u);
+    EXPECT_EQ(r.copies, 500u);
+  }
+}
+
 TEST(Pipeline, FatalWidthMispredictionFlushesAndResteers) {
   // Train a pc as narrow, then produce a wide value at the same pc: the µop
   // is steered to the helper on a confident narrow prediction and must be

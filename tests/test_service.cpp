@@ -23,6 +23,7 @@
 #include "svc/client.hpp"
 #include "svc/daemon.hpp"
 #include "svc/protocol.hpp"
+#include "svc/remote_sweep.hpp"
 #include "svc/service.hpp"
 
 namespace hcsim::svc {
@@ -244,6 +245,22 @@ TEST(SweepService, BadVersionAndBadSampleSpecAreErrors) {
   EXPECT_FALSE(service.run_jobs(reqs, accept, outcome, error));
   EXPECT_NE(error.find("mixed"), std::string::npos) << error;
   EXPECT_EQ(outcome.completed, 0u);
+
+  // The fault-tolerant client resolves the spec through the same function
+  // and refuses the same schedule before expanding or simulating anything.
+  const auto spec = exp::find_sweep("smoke");
+  ASSERT_TRUE(spec.has_value());
+  FtSweepOptions opts;
+  opts.sampled = true;
+  opts.warmup = 5000;
+  opts.measure = 5000;
+  opts.period = 100;
+  exp::SweepResult result;
+  FtSweepStats stats;
+  error.clear();
+  EXPECT_EQ(run_sweep_ft(*spec, opts, result, stats, error), FtStatus::kBadSpec);
+  EXPECT_NE(error.find("period"), std::string::npos) << error;
+  EXPECT_EQ(stats.jobs, 0u);
 }
 
 TEST(SweepService, MatchesInProcessSweepByteForByte) {
