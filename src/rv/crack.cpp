@@ -192,224 +192,187 @@ CrackedProgram crack_program(const RvProgram& prog) {
   return out;
 }
 
+namespace {
+
+/// Append the value-accurate TraceRecords of one retired instruction to
+/// `out` (no budget logic: the caller decides whether the step fits).
 void emit_step_records(const CrackedProgram& cracked, const RvStep& step,
-                       const std::function<void(const TraceRecord&)>& fn) {
+                       std::vector<TraceRecord>& out) {
   const u32 base = cracked.first_uop[step.pc / 4];
-  auto push_rec = [&](const TraceRecord& r) { fn(r); };
-  {
-    const RvInst& in = step.inst;
-    const u32 a = step.rs1_val, b = step.rs2_val;
-    const u32 imm = static_cast<u32>(in.imm);
+  const RvInst& in = step.inst;
+  const u32 a = step.rs1_val, b = step.rs2_val;
+  const u32 imm = static_cast<u32>(in.imm);
 
-    auto rec_at = [&](u32 offset) {
-      TraceRecord r;
-      r.pc = base + offset;
-      return r;
-    };
+  auto rec_at = [&](u32 offset) {
+    TraceRecord r;
+    r.pc = base + offset;
+    return r;
+  };
 
-    switch (in.op) {
-      case RvOp::kLui:
-      case RvOp::kAuipc: {
-        TraceRecord r = rec_at(0);
-        r.result = step.result;  // 0 for the rd==0 nop crack
-        push_rec(r);
-        break;
-      }
-      case RvOp::kJal:
-      case RvOp::kJalr: {
-        u32 off = 0;
-        if (in.rd != 0) {
-          TraceRecord link = rec_at(off++);
-          link.result = step.pc + 4;
-          push_rec(link);
-        }
-        TraceRecord jmp = rec_at(off);
-        if (in.op == RvOp::kJalr) jmp.src_vals[0] = a;
-        jmp.taken = true;
-        push_rec(jmp);
-        break;
-      }
-      case RvOp::kBeq:
-      case RvOp::kBne:
-      case RvOp::kBlt:
-      case RvOp::kBge:
-      case RvOp::kBltu:
-      case RvOp::kBgeu: {
-        const u32 flags = a - b;  // kCmp convention: flags = rs1 - rs2
-        TraceRecord cmp = rec_at(0);
-        cmp.src_vals = {a, b, 0};
-        cmp.flags_val = flags;
-        push_rec(cmp);
-        TraceRecord br = rec_at(1);
-        br.src_vals[0] = flags;
-        br.taken = step.taken;
-        push_rec(br);
-        break;
-      }
-      case RvOp::kLb:
-      case RvOp::kLbu:
-      case RvOp::kLh:
-      case RvOp::kLhu:
-      case RvOp::kLw: {
-        TraceRecord r = rec_at(0);
-        r.src_vals[0] = a;
-        r.mem_addr = step.mem_addr;
-        r.result = step.result;
-        push_rec(r);
-        break;
-      }
-      case RvOp::kSb:
-      case RvOp::kSh:
-      case RvOp::kSw: {
-        TraceRecord r = rec_at(0);
-        r.src_vals = {a, 0, b};
-        r.mem_addr = step.mem_addr;
-        push_rec(r);
-        break;
-      }
-      case RvOp::kSlti:
-      case RvOp::kSltiu:
-      case RvOp::kSlt:
-      case RvOp::kSltu: {
-        if (in.rd == 0) {
-          push_rec(rec_at(0));
-          break;
-        }
-        const u32 rhs = has_imm_form(in.op) ? imm : b;
-        const u32 diff = a - rhs;
-        TraceRecord sub = rec_at(0);
-        sub.src_vals = {a, has_imm_form(in.op) ? 0 : b, 0};
-        sub.result = diff;
-        sub.flags_val = diff;
-        push_rec(sub);
-        TraceRecord shr = rec_at(1);
-        shr.src_vals[0] = diff;
-        shr.result = step.result;  // architecturally exact 0/1
-        shr.flags_val = step.result;
-        push_rec(shr);
-        break;
-      }
-      case RvOp::kAddi:
-      case RvOp::kXori:
-      case RvOp::kOri:
-      case RvOp::kAndi:
-      case RvOp::kSlli:
-      case RvOp::kSrli:
-      case RvOp::kSrai:
-      case RvOp::kAdd:
-      case RvOp::kSub:
-      case RvOp::kSll:
-      case RvOp::kXor:
-      case RvOp::kSrl:
-      case RvOp::kSra:
-      case RvOp::kOr:
-      case RvOp::kAnd: {
-        TraceRecord r = rec_at(0);
-        if (in.rd == 0) {  // cracked to kNop
-          push_rec(r);
-          break;
-        }
-        r.src_vals[0] = a;
-        if (!has_imm_form(in.op)) r.src_vals[1] = b;
-        r.result = step.result;
-        r.flags_val = step.result;  // ALU µops write flags = result
-        push_rec(r);
-        break;
-      }
-      case RvOp::kFence:
-      case RvOp::kEcall:
-      case RvOp::kEbreak:
-        push_rec(rec_at(0));
-        break;
-      default:
-        HCSIM_CHECK(false, "unreachable: illegal instruction executed");
+  switch (in.op) {
+    case RvOp::kLui:
+    case RvOp::kAuipc: {
+      TraceRecord r = rec_at(0);
+      r.result = step.result;  // 0 for the rd==0 nop crack
+      out.push_back(r);
+      break;
     }
+    case RvOp::kJal:
+    case RvOp::kJalr: {
+      u32 off = 0;
+      if (in.rd != 0) {
+        TraceRecord link = rec_at(off++);
+        link.result = step.pc + 4;
+        out.push_back(link);
+      }
+      TraceRecord jmp = rec_at(off);
+      if (in.op == RvOp::kJalr) jmp.src_vals[0] = a;
+      jmp.taken = true;
+      out.push_back(jmp);
+      break;
+    }
+    case RvOp::kBeq:
+    case RvOp::kBne:
+    case RvOp::kBlt:
+    case RvOp::kBge:
+    case RvOp::kBltu:
+    case RvOp::kBgeu: {
+      const u32 flags = a - b;  // kCmp convention: flags = rs1 - rs2
+      TraceRecord cmp = rec_at(0);
+      cmp.src_vals = {a, b, 0};
+      cmp.flags_val = flags;
+      out.push_back(cmp);
+      TraceRecord br = rec_at(1);
+      br.src_vals[0] = flags;
+      br.taken = step.taken;
+      out.push_back(br);
+      break;
+    }
+    case RvOp::kLb:
+    case RvOp::kLbu:
+    case RvOp::kLh:
+    case RvOp::kLhu:
+    case RvOp::kLw: {
+      TraceRecord r = rec_at(0);
+      r.src_vals[0] = a;
+      r.mem_addr = step.mem_addr;
+      r.result = step.result;
+      out.push_back(r);
+      break;
+    }
+    case RvOp::kSb:
+    case RvOp::kSh:
+    case RvOp::kSw: {
+      TraceRecord r = rec_at(0);
+      r.src_vals = {a, 0, b};
+      r.mem_addr = step.mem_addr;
+      out.push_back(r);
+      break;
+    }
+    case RvOp::kSlti:
+    case RvOp::kSltiu:
+    case RvOp::kSlt:
+    case RvOp::kSltu: {
+      if (in.rd == 0) {
+        out.push_back(rec_at(0));
+        break;
+      }
+      const u32 rhs = has_imm_form(in.op) ? imm : b;
+      const u32 diff = a - rhs;
+      TraceRecord sub = rec_at(0);
+      sub.src_vals = {a, has_imm_form(in.op) ? 0 : b, 0};
+      sub.result = diff;
+      sub.flags_val = diff;
+      out.push_back(sub);
+      TraceRecord shr = rec_at(1);
+      shr.src_vals[0] = diff;
+      shr.result = step.result;  // architecturally exact 0/1
+      shr.flags_val = step.result;
+      out.push_back(shr);
+      break;
+    }
+    case RvOp::kAddi:
+    case RvOp::kXori:
+    case RvOp::kOri:
+    case RvOp::kAndi:
+    case RvOp::kSlli:
+    case RvOp::kSrli:
+    case RvOp::kSrai:
+    case RvOp::kAdd:
+    case RvOp::kSub:
+    case RvOp::kSll:
+    case RvOp::kXor:
+    case RvOp::kSrl:
+    case RvOp::kSra:
+    case RvOp::kOr:
+    case RvOp::kAnd: {
+      TraceRecord r = rec_at(0);
+      if (in.rd == 0) {  // cracked to kNop
+        out.push_back(r);
+        break;
+      }
+      r.src_vals[0] = a;
+      if (!has_imm_form(in.op)) r.src_vals[1] = b;
+      r.result = step.result;
+      r.flags_val = step.result;  // ALU µops write flags = result
+      out.push_back(r);
+      break;
+    }
+    case RvOp::kFence:
+    case RvOp::kEcall:
+    case RvOp::kEbreak:
+      out.push_back(rec_at(0));
+      break;
+    default:
+      HCSIM_CHECK(false, "unreachable: illegal instruction executed");
   }
 }
 
-RvTraceInfo stream_from_program(const RvProgram& prog, const CrackedProgram& cracked,
-                                u64 max_uops,
-                                const std::function<void(const TraceRecord&)>& sink,
-                                const ExecLimits& limits) {
-  u64 emitted = 0;
-  auto emit = [&](const RvStep& step) -> bool {
-    const u32 idx = step.pc / 4;
-    const u32 n_uops = cracked.first_uop[idx + 1] - cracked.first_uop[idx];
-    if (emitted + n_uops > max_uops) return false;  // budget cut
-    emit_step_records(cracked, step, [&](const TraceRecord& r) {
-      ++emitted;
-      sink(r);
-    });
-    return true;
-  };
+}  // namespace
 
-  const RvExecResult res = execute(prog, limits, emit);
-  RvTraceInfo out;
-  out.instret = res.steps;
-  out.completed = res.completed;
-  out.error = res.error;
-  return out;
+// --- RvTraceCursor -----------------------------------------------------------
+
+RvTraceCursor::RvTraceCursor(RvProgram binary, CrackedProgram cracked, u64 max_uops,
+                             const ExecLimits& limits, bool fatal_trap)
+    : binary_(std::move(binary)),
+      cracked_(std::move(cracked)),
+      machine_(binary_, limits),
+      remaining_(max_uops),
+      fatal_trap_(fatal_trap) {}
+
+std::span<const TraceRecord> RvTraceCursor::next_chunk() {
+  buf_.clear();
+  RvStep step;
+  // A budget-cut step leaves machine_.steps() one past instret_: the stream
+  // has ended for good.
+  while (buf_.size() < kTraceChunkRecords && machine_.steps() == instret_ &&
+         machine_.step(step) == RvMachine::Outcome::kRetired) {
+    const u32 idx = step.pc / 4;
+    const u64 n_uops = cracked_.first_uop[idx + 1] - cracked_.first_uop[idx];
+    if (n_uops > remaining_) break;  // budget cut before this instruction
+    remaining_ -= n_uops;
+    ++instret_;
+    emit_step_records(cracked_, step, buf_);
+  }
+  HCSIM_CHECK(!fatal_trap_ || machine_.error().empty(),
+              "rv executor trapped: " + cracked_.program.name + ": " + machine_.error());
+  return buf_;
 }
 
-// --- RvStreamCursor ----------------------------------------------------------
-
-RvStreamCursor::RvStreamCursor(const RvProgram& prog, const CrackedProgram& cracked,
-                               const ExecLimits& limits)
-    : cracked_(&cracked), machine_(prog, limits) {}
-
-RvTraceInfo RvStreamCursor::info() const {
+RvTraceInfo RvTraceCursor::info() const {
   RvTraceInfo out;
-  out.instret = machine_.steps();
-  out.completed = machine_.completed();
+  out.instret = instret_;
+  out.completed = machine_.completed() && machine_.steps() == instret_;
   out.error = machine_.error();
   return out;
 }
 
-bool RvStreamCursor::refill() {
-  RvStep step;
-  if (machine_.step(step) != RvMachine::Outcome::kRetired) return false;
-  emit_step_records(*cracked_, step,
-                    [this](const TraceRecord& r) { pending_.push_back(r); });
-  return true;
-}
-
-RvTraceInfo RvStreamCursor::pump_range(
-    u64 begin, u64 end, const std::function<void(const TraceRecord&)>& sink) {
-  HCSIM_CHECK(begin <= end, "RvStreamCursor: begin > end");
-  HCSIM_CHECK(begin >= pos_, "RvStreamCursor: backward seek");
-  while (pos_ < end) {
-    if (head_ == pending_.size()) {
-      pending_.clear();
-      head_ = 0;
-      if (!refill()) break;  // halted / trapped / budget exhausted
-    }
-    // An instruction executes only while the cursor is short of `end`; a
-    // crack straddling the boundary leaves its tail buffered for the next
-    // range. Per-record filtering below trims the [pos_, begin) skip.
-    while (head_ < pending_.size() && pos_ < end) {
-      if (pos_ >= begin) sink(pending_[head_]);
-      ++head_;
-      ++pos_;
-    }
-  }
-  return info();
-}
-
 Trace trace_from_program(const RvProgram& prog, u64 max_uops, RvTraceInfo* info,
                          const ExecLimits& limits) {
-  const CrackedProgram cracked = crack_program(prog);
-  Trace trace;
-  trace.program = cracked.program;
-  trace.seed = 1;  // RV traces are seedless: the program fully determines them
-  const RvTraceInfo res = stream_from_program(
-      prog, cracked, max_uops, [&](const TraceRecord& r) { trace.records.push_back(r); },
-      limits);
-  if (info) {
-    // The caller owns trap handling (hcrv turns it into a CLI diagnostic).
-    *info = res;
-  } else {
-    HCSIM_CHECK(res.error.empty(), "rv executor trapped: " + res.error);
-  }
+  RvTraceCursor cursor(prog, crack_program(prog), max_uops, limits,
+                       /*fatal_trap=*/info == nullptr);
+  Trace trace = drain_cursor(cursor, /*seed=*/1);  // RV traces are seedless
+  if (info) *info = cursor.info();
   return trace;
 }
 

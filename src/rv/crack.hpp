@@ -18,6 +18,12 @@
 //  * jal/jalr with a link register crack into kMovImm (static return
 //    address) + kJump.
 //
+// Records are produced in one place, RvTraceCursor: an RvMachine stepped
+// chunk by chunk, each retired instruction expanded into its µop records.
+// trace_from_program, rv::kernel_trace and KernelStream::pump all drain it,
+// and the sampler and streamed runs read it directly, so every path
+// applies the same instruction-boundary µop budget.
+//
 // Recorded source/result/flags values always come from the functional
 // executor, so downstream width predictors and steering observe real data
 // widths. Unsigned branches and arithmetic right shifts reuse the closest
@@ -49,62 +55,44 @@ struct RvTraceInfo {
 };
 
 /// Assemble-free entry point: functionally execute `prog` and emit the
-/// value-accurate µop trace, bounded by `max_uops` dynamic µops.
+/// value-accurate µop trace, bounded by `max_uops` dynamic µops (an
+/// RvTraceCursor drained into a vector). A trap aborts unless `info` is
+/// given, in which case the caller owns trap handling.
 Trace trace_from_program(const RvProgram& prog, u64 max_uops,
                          RvTraceInfo* info = nullptr, const ExecLimits& limits = {});
 
-/// Streaming form: push every dynamic µop record to `sink` instead of
-/// materializing a vector — the record stream is bit-identical to
-/// trace_from_program's (it is the same interpreter). `cracked` must be
-/// crack_program(prog).
-RvTraceInfo stream_from_program(const RvProgram& prog, const CrackedProgram& cracked,
-                                u64 max_uops,
-                                const std::function<void(const TraceRecord&)>& sink,
-                                const ExecLimits& limits = {});
-
-/// Emit the value-accurate TraceRecords of one retired instruction — exactly
-/// the records stream_from_program pushes for `step` (same switch, no budget
-/// logic). Shared by the one-shot streamer and the resumable cursor so the
-/// two paths cannot drift.
-void emit_step_records(const CrackedProgram& cracked, const RvStep& step,
-                       const std::function<void(const TraceRecord&)>& fn);
-
-/// Resumable streaming cracker: an RvMachine plus a pending-record buffer.
-///
-/// pump_range delivers arbitrary forward slices [begin, end) of the dynamic
-/// µop stream, bit-identical to one long stream_from_program pump. An
-/// instruction executes only while the cursor is short of `end`; if its
-/// crack runs past the range boundary the leftover records stay buffered
-/// for the next range.
-class RvStreamCursor {
+/// Pull cursor over a cracked program's dynamic µop stream: an RvMachine
+/// retiring instructions into a reusable chunk buffer. Chunks hold whole
+/// instructions. The stream ends when the program halts or traps, when
+/// limits.max_steps instructions have retired, or before the first
+/// instruction whose crack would run past `max_uops` (that step is not
+/// delivered and does not count toward instret).
+class RvTraceCursor final : public TraceCursor {
  public:
-  /// Borrows `prog` and `cracked` (must be crack_program(prog)); the caller
-  /// keeps both alive for the cursor's lifetime.
-  RvStreamCursor(const RvProgram& prog, const CrackedProgram& cracked,
-                 const ExecLimits& limits = {});
+  /// Owns the binary and its crack (`cracked` must be crack_program(binary)).
+  /// With `fatal_trap`, a trap aborts the process instead of ending the
+  /// stream short (bundled kernels and budget-only callers never expect one).
+  RvTraceCursor(RvProgram binary, CrackedProgram cracked, u64 max_uops,
+                const ExecLimits& limits = {}, bool fatal_trap = true);
 
-  /// Stream position of the next undelivered record.
-  u64 position() const { return pos_; }
+  // RvMachine keeps a pointer to binary_: not movable.
+  RvTraceCursor(const RvTraceCursor&) = delete;
+  RvTraceCursor& operator=(const RvTraceCursor&) = delete;
 
-  /// Push records [begin, end) to `sink` in stream order; begin must be at
-  /// or past position() (records already consumed cannot be re-delivered).
-  /// Skipping [position(), begin) executes and discards. Delivered short if the program halts, traps, or exhausts
-  /// its instruction budget first.
-  RvTraceInfo pump_range(u64 begin, u64 end,
-                         const std::function<void(const TraceRecord&)>& sink);
+  const Program& program() const override { return cracked_.program; }
+  std::span<const TraceRecord> next_chunk() override;
 
-  /// Provenance so far (instret / completed / trap), same fields pump_range
-  /// returns.
+  /// Provenance so far: instructions delivered, clean halt, trap message.
   RvTraceInfo info() const;
 
  private:
-  bool refill();  // retire one instruction into pending_; false when done
-
-  const CrackedProgram* cracked_;
-  RvMachine machine_;
-  std::vector<TraceRecord> pending_;
-  std::size_t head_ = 0;  // next undelivered record within pending_
-  u64 pos_ = 0;           // stream position of pending_[head_]
+  RvProgram binary_;
+  CrackedProgram cracked_;
+  RvMachine machine_;  // borrows binary_: declared after it
+  std::vector<TraceRecord> buf_;
+  u64 remaining_;    // µop budget left
+  u64 instret_ = 0;  // instructions delivered
+  bool fatal_trap_;
 };
 
 }  // namespace hcsim::rv

@@ -206,37 +206,4 @@ RvMachine::Outcome RvMachine::step(RvStep& out) {
   return Outcome::kRetired;
 }
 
-RvExecResult execute(const RvProgram& prog, const ExecLimits& limits,
-                     const std::function<bool(const RvStep&)>& sink) {
-  RvExecResult res;
-  RvMachine m(prog, limits);
-  if (!m.error().empty()) {
-    res.error = m.error();
-    return res;
-  }
-  RvStep step;
-  for (;;) {
-    const RvMachine::Outcome oc = m.step(step);
-    if (oc == RvMachine::Outcome::kHalted) {
-      res.completed = true;
-      break;
-    }
-    if (oc == RvMachine::Outcome::kTrapped) {
-      res.error = m.error();
-      break;
-    }
-    if (oc == RvMachine::Outcome::kBudget) break;
-    // Budget cut: completed stays false, and the rejected step does not
-    // count toward instret (its µops never entered the trace).
-    if (sink && !sink(step)) break;
-    ++res.steps;
-    if (m.completed()) {  // ecall/ebreak retired and was accepted
-      res.completed = true;
-      break;
-    }
-  }
-  res.regs = m.regs();
-  return res;
-}
-
 }  // namespace hcsim::rv

@@ -6,11 +6,10 @@
 // the same program yields a bit-identical step stream every run — the
 // property the cracking layer (crack.hpp) relies on for reproducible traces.
 //
-// Two entry points share one interpreter:
-//   - execute(): run-to-completion with a per-step sink (the original API).
-//   - RvMachine: a *resumable* stepper that retires one instruction per
-//     call. The windowed sampler's kernel stream keeps one alive across
-//     windows, so a forward seek costs O(gap), not O(begin).
+// The interpreter is RvMachine, a resumable stepper that retires one
+// instruction per call. Its one consumer is rv::RvTraceCursor (crack.hpp),
+// which steps it chunk by chunk, so a sampled run's forward seek costs
+// O(gap), not O(begin).
 //
 // Halting: ECALL / EBREAK retire and halt, as does a jump to the
 // return-address sentinel (ra is initialized to kRvHaltAddr, so a top-level
@@ -20,7 +19,6 @@
 #pragma once
 
 #include <array>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -47,13 +45,6 @@ struct RvStep {
   u32 mem_addr = 0;  // effective address (loads/stores)
   bool taken = false;  // branch/jump outcome
   u32 next_pc = 0;
-};
-
-struct RvExecResult {
-  std::array<u32, 32> regs{};
-  u64 steps = 0;
-  bool completed = false;  // reached ecall/ebreak/halt-sentinel
-  std::string error;       // nonempty on trap (bad pc/address/instruction)
 };
 
 /// Steppable RV32I interpreter. Construct once per program; `step` retires
@@ -93,12 +84,5 @@ class RvMachine {
   bool completed_ = false;
   std::string error_;
 };
-
-/// Execute `prog` to completion (or until the budget/sink stops it). `sink`
-/// is invoked once per retired instruction; returning false stops execution
-/// (used by the cracker to enforce a µop budget mid-program) — the rejected
-/// step does not count toward `steps`.
-RvExecResult execute(const RvProgram& prog, const ExecLimits& limits = {},
-                     const std::function<bool(const RvStep&)>& sink = nullptr);
 
 }  // namespace hcsim::rv

@@ -44,23 +44,23 @@ std::vector<WorkloadProfile> rv_workload_profiles() {
 }
 
 Trace kernel_trace(const std::string& name, u64 max_uops) {
-  // Built on the streaming primitive, so the materialized vector and a
-  // KernelStream pump are bit-identical by construction.
-  const KernelStream stream = open_kernel_stream(name);
-  Trace trace;
-  trace.program = stream.cracked.program;
-  trace.seed = 1;  // RV traces are seedless: the program fully determines them
-  stream.pump(max_uops, [&](const TraceRecord& r) { trace.records.push_back(r); });
+  Trace trace = drain_cursor(*open_kernel_cursor(name, max_uops), /*seed=*/1);
   HCSIM_CHECK(!trace.records.empty(), "kernel produced an empty trace: " + name);
   return trace;
 }
 
+std::unique_ptr<RvTraceCursor> open_kernel_cursor(const std::string& name, u64 max_uops) {
+  KernelStream stream = open_kernel_stream(name);
+  return std::make_unique<RvTraceCursor>(std::move(stream.binary),
+                                         std::move(stream.cracked), max_uops);
+}
+
 RvTraceInfo KernelStream::pump(u64 max_uops,
                                const std::function<void(const TraceRecord&)>& sink) const {
-  RvTraceInfo info = stream_from_program(binary, cracked, max_uops, sink);
-  HCSIM_CHECK(info.error.empty(),
-              "bundled kernel trapped: " + cracked.program.name + ": " + info.error);
-  return info;
+  RvTraceCursor cursor(binary, cracked, max_uops);
+  for (auto chunk = cursor.next_chunk(); !chunk.empty(); chunk = cursor.next_chunk())
+    for (const TraceRecord& r : chunk) sink(r);
+  return cursor.info();
 }
 
 KernelStream open_kernel_stream(const std::string& name) {

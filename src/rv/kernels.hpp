@@ -8,6 +8,8 @@
 // the assembler/executor/cracker instead of the synthetic program generator.
 #pragma once
 
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -41,16 +43,18 @@ std::vector<WorkloadProfile> rv_workload_profiles();
 /// assembly/execution failure (bundled kernels must be valid).
 Trace kernel_trace(const std::string& name, u64 max_uops);
 
-/// Streaming form of kernel_trace: the assembled binary plus its cracked
-/// static program, ready to pump the dynamic record stream into a consumer
-/// (e.g. Pipeline::feed) without materializing it. The stream is
-/// bit-identical to kernel_trace's record vector.
+/// Streaming form of kernel_trace: a pull cursor over the same records,
+/// O(chunk) memory. kernel_trace drains one, so the two are bit-identical.
+std::unique_ptr<RvTraceCursor> open_kernel_cursor(const std::string& name, u64 max_uops);
+
+/// A bundled kernel's assembled binary plus its cracked static program.
 struct KernelStream {
   RvProgram binary;
   CrackedProgram cracked;
 
   /// Execute the kernel, pushing every dynamic µop record to `sink`,
-  /// bounded by `max_uops`. Aborts if the kernel traps.
+  /// bounded by `max_uops` (an RvTraceCursor drained record by record).
+  /// Aborts if the kernel traps.
   RvTraceInfo pump(u64 max_uops,
                    const std::function<void(const TraceRecord&)>& sink) const;
 };

@@ -1,120 +1,76 @@
 #include "sample/record_stream.hpp"
 
+#include <algorithm>
 #include <span>
+#include <string>
 
-#include "rv/kernels.hpp"
 #include "sim/simulator.hpp"
 #include "util/log.hpp"
-#include "wload/executor.hpp"
-#include "wload/program_gen.hpp"
 
 namespace hcsim::sample {
 
 namespace {
 
-/// Materialized trace: ranges are plain index slices.
-class TraceRecordStream final : public RecordStream {
- public:
-  explicit TraceRecordStream(const Trace& trace) : trace_(trace) {}
+/// Discarding this many generated records to reach a range's begin logs a
+/// one-shot warning via log_warn_once.
+constexpr u64 kSeekWarnThreshold = 10'000'000;
 
-  const Program& program() const override { return trace_.program; }
+void note_forward_seek(u64 n_discard) {
+  if (n_discard < kSeekWarnThreshold) return;
+  log_warn_once("forward-seek",
+                "record stream seek discarded " + std::to_string(n_discard) +
+                    " generated records (forward-only backend; consider a wider "
+                    "sampling period)");
+}
 
-  void feed_range(u64 begin, u64 end, const RecordSink& sink) override {
-    const u64 stop = std::min<u64>(end, trace_.records.size());
-    for (u64 i = begin; i < stop; ++i) sink(trace_.records[i]);
-  }
-
- private:
-  const Trace& trace_;
-};
-
-/// Synthetic generator: a ProgramTraceCursor interpreted on demand. Seeking
-/// forward generates and discards — generation runs ~6x faster than the
-/// pipeline, which is what makes skipped periods nearly free.
+/// Forward-only ranges over any TraceCursor. A skip inside a chunk is an
+/// index bump; a skip past it pulls the chunks in between, which a
+/// generating backend computes only to throw away.
 class CursorRecordStream final : public RecordStream {
  public:
-  CursorRecordStream(const WorkloadProfile& profile, u64 n_records)
-      : cursor_(std::make_unique<ProgramTraceCursor>(generate_program(profile),
-                                                     profile, n_records)) {}
+  explicit CursorRecordStream(std::unique_ptr<TraceCursor> cursor)
+      : cursor_(std::move(cursor)) {}
 
   const Program& program() const override { return cursor_->program(); }
 
   void feed_range(u64 begin, u64 end, const RecordSink& sink) override {
     HCSIM_CHECK(begin >= pos_, "CursorRecordStream: backward seek");
-    if (begin > pos_) note_forward_seek("generator", begin - pos_);
+    const u64 seek_from = pos_;
     while (pos_ < end) {
-      if (off_ >= chunk_.size()) {
+      if (off_ == chunk_.size()) {
         chunk_ = cursor_->next_chunk();
         off_ = 0;
-        if (chunk_.empty()) return;  // trace exhausted: deliver short
+        if (chunk_.empty()) break;  // trace exhausted: deliver short
       }
-      const TraceRecord& rec = chunk_[off_++];
-      if (pos_ >= begin) sink(rec);
+      if (pos_ < begin) {
+        const std::size_t skip = static_cast<std::size_t>(
+            std::min<u64>(begin - pos_, chunk_.size() - off_));
+        off_ += skip;
+        pos_ += skip;
+        continue;
+      }
+      sink(chunk_[off_++]);
       ++pos_;
     }
+    if (cursor_->generates()) note_forward_seek(std::min(pos_, begin) - seek_from);
   }
 
  private:
-  std::unique_ptr<ProgramTraceCursor> cursor_;  // not movable: heap-pinned
+  std::unique_ptr<TraceCursor> cursor_;
   std::span<const TraceRecord> chunk_;
-  std::size_t off_ = 0;
-  u64 pos_ = 0;
-};
-
-/// RV kernel: a resumable executor cursor. The machine persists across
-/// feed_range calls, so a forward seek costs O(gap), not O(begin).
-class KernelRecordStream final : public RecordStream {
- public:
-  explicit KernelRecordStream(const std::string& kernel)
-      : stream_(rv::open_kernel_stream(kernel)),
-        cursor_(stream_.binary, stream_.cracked) {}
-
-  const Program& program() const override { return stream_.cracked.program; }
-
-  void feed_range(u64 begin, u64 end, const RecordSink& sink) override {
-    HCSIM_CHECK(begin >= cursor_.position(), "KernelRecordStream: backward seek");
-    if (begin > cursor_.position())
-      note_forward_seek("rv-kernel", begin - cursor_.position());
-    const rv::RvTraceInfo info = cursor_.pump_range(begin, end, sink);
-    HCSIM_CHECK(info.error.empty(), "rv executor trapped: " + info.error);
-  }
-
- private:
-  rv::KernelStream stream_;
-  rv::RvStreamCursor cursor_;  // borrows stream_: declared after it
+  std::size_t off_ = 0;  // next record of chunk_
+  u64 pos_ = 0;          // stream position of chunk_[off_]
 };
 
 }  // namespace
 
-void note_forward_seek(const char* backend, u64 n_discard) {
-  if (n_discard < kSeekWarnThreshold) return;
-  log_warn_once(std::string("forward-seek:") + backend,
-                std::string(backend) + " stream seek discarded " +
-                    std::to_string(n_discard) +
-                    " records (forward-only backend; consider a wider sampling "
-                    "period)");
-}
-
-std::unique_ptr<RecordStream> open_trace_stream(const Trace& trace) {
-  return std::make_unique<TraceRecordStream>(trace);
+std::unique_ptr<RecordStream> open_cursor_stream(std::unique_ptr<TraceCursor> cursor) {
+  return std::make_unique<CursorRecordStream>(std::move(cursor));
 }
 
 StreamFactory workload_stream_factory(const WorkloadProfile& profile, u64 n_records) {
-  if (n_records <= stream_threshold()) {
-    // CI-sized runs share the process-wide materialized trace (stable
-    // reference for the process lifetime) — windows slice it for free.
-    const Trace& trace = cached_trace(profile, n_records);
-    return [&trace] { return open_trace_stream(trace); };
-  }
-  if (!profile.rv_kernel.empty()) {
-    const std::string kernel = profile.rv_kernel;
-    return [kernel]() -> std::unique_ptr<RecordStream> {
-      return std::make_unique<KernelRecordStream>(kernel);
-    };
-  }
-  const WorkloadProfile prof = profile;
-  return [prof, n_records]() -> std::unique_ptr<RecordStream> {
-    return std::make_unique<CursorRecordStream>(prof, n_records);
+  return [profile, n_records] {
+    return open_cursor_stream(open_trace_cursor(profile, n_records));
   };
 }
 

@@ -2,16 +2,13 @@
 //
 // A RecordStream delivers arbitrary forward ranges [begin, end) of one
 // deterministic dynamic trace. The windowed simulator slices a trace into
-// warm-up/measure windows through this interface, which hides where the
-// records come from:
-//   - TraceRecordStream  — a materialized Trace (spans, free seeking)
-//   - CursorRecordStream — the synthetic generator's pull cursor
-//                          (seeks forward by generating + discarding)
-//   - KernelRecordStream — the RV functional executor's resumable cursor
-//                          (seeks forward by executing + discarding)
-// All three deliver bit-identical records for the same range, so serial
-// windowed runs (one stream, windows in trace order) and parallel sliced
-// runs (a fresh stream per window job) agree exactly.
+// warm-up/measure windows through this interface. It has one
+// implementation, open_cursor_stream(): an adapter over any TraceCursor —
+// a materialized trace (free seeking), the synthetic generator or the RV
+// executor (seeking forward generates and discards). The records come from
+// the same cursors a full run reads, so serial windowed runs (one stream,
+// windows in trace order), parallel sliced runs (a fresh stream per window
+// job) and full runs agree exactly.
 #pragma once
 
 #include <functional>
@@ -39,28 +36,18 @@ class RecordStream {
   virtual void feed_range(u64 begin, u64 end, const RecordSink& sink) = 0;
 };
 
-/// Forward-seek visibility (ROADMAP item 3): discarding more than this many
-/// records to reach a range's begin logs a one-shot warning via
-/// log_warn_once — the O(begin) seek cost is reported, never silent.
-inline constexpr u64 kSeekWarnThreshold = 10'000'000;
-
-/// Shared helper for forward-only backends: warn (once per stream kind) when
-/// a seek is about to discard `n_discard` records.
-void note_forward_seek(const char* backend, u64 n_discard);
-
 /// Creates an independent stream over the same trace. Factories are
 /// immutable and safe to invoke concurrently — each parallel window job
 /// opens its own stream.
 using StreamFactory = std::function<std::unique_ptr<RecordStream>()>;
 
-/// Stream over a materialized trace. Borrows `trace`; the caller keeps it
-/// alive for the stream's lifetime.
-std::unique_ptr<RecordStream> open_trace_stream(const Trace& trace);
+/// The one RecordStream: forward ranges over `cursor`'s records. Skipping
+/// 10M or more generated records to reach a range's begin logs a one-shot
+/// warning — the O(begin) seek cost is reported, never silent.
+std::unique_ptr<RecordStream> open_cursor_stream(std::unique_ptr<TraceCursor> cursor);
 
 /// Factory for `profile`'s deterministic trace of `n_records` µops, routed
-/// the same way simulate_workload routes full runs: a materialized cached
-/// trace at or below stream_threshold(), the synthetic generator cursor or
-/// the RV kernel executor above it (O(chunk) memory).
+/// through open_trace_cursor() exactly as simulate_workload routes full runs.
 StreamFactory workload_stream_factory(const WorkloadProfile& profile, u64 n_records);
 
 }  // namespace hcsim::sample

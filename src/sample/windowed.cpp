@@ -32,42 +32,35 @@ void splice(SimResult& into, const SimResult& w) {
       into, w);
 }
 
-/// One in-flight window: a cold pipeline plus the warm-up/measure boundary
-/// checkpoint.
-struct WindowRun {
+/// One window: feed [w.begin, w.end()) from `stream` into a cold pipeline,
+/// built on the window's first record (so a window the trace never reaches
+/// costs nothing), checkpoint at the warm-up/measure boundary, and subtract
+/// that checkpoint at the end. Returns false (and fills nothing) when the
+/// trace ended before the window's measure region began.
+bool run_window(const MachineConfig& cfg, const WindowRange& w, RecordStream& stream,
+                WindowStats& out) {
   std::unique_ptr<Pipeline> pipeline;
   Pipeline::StatsCheckpoint warm;
   u64 fed = 0;
-
-  void open(const MachineConfig& cfg, const Program& program, u64 warmup) {
-    pipeline = std::make_unique<Pipeline>(cfg, program);
-    fed = 0;
-    if (warmup == 0) warm = pipeline->checkpoint_stats();
-  }
-
-  void feed(const TraceRecord& rec, u64 warmup) {
+  stream.feed_range(w.begin, w.end(), [&](const TraceRecord& rec) {
+    if (!pipeline) {
+      pipeline = std::make_unique<Pipeline>(cfg, stream.program());
+      if (w.warmup == 0) warm = pipeline->checkpoint_stats();
+    }
     pipeline->feed(rec);
-    if (++fed == warmup) warm = pipeline->checkpoint_stats();
-  }
-};
-
-/// Close an in-flight window: subtract the warm checkpoint and finalize the
-/// per-window view. Returns false (and produces nothing) when the trace
-/// ended before the window's measure region began.
-bool close_window(const WindowRange& w, WindowRun& run, Tick wide_ticks,
-                  WindowStats& out) {
-  if (!run.pipeline || run.fed <= w.warmup) return false;
-  const Pipeline::StatsCheckpoint end = run.pipeline->checkpoint_stats();
+    if (++fed == w.warmup) warm = pipeline->checkpoint_stats();
+  });
+  if (fed <= w.warmup) return false;
+  const Pipeline::StatsCheckpoint end = pipeline->checkpoint_stats();
   out.range = w;
-  out.range.measure = run.fed - w.warmup;  // truncated when the trace ended early
+  out.range.measure = fed - w.warmup;  // truncated when the trace ended early
   out.measured = end.res;
-  splice<false>(out.measured, run.warm.res);
+  splice<false>(out.measured, warm.res);
   out.dl0 = end.dl0;
-  out.dl0 -= run.warm.dl0;
+  out.dl0 -= warm.dl0;
   out.ul1 = end.ul1;
-  out.ul1 -= run.warm.ul1;
-  out.measured.finalize(wide_ticks, out.dl0, out.ul1);
-  run.pipeline.reset();
+  out.ul1 -= warm.ul1;
+  out.measured.finalize(cfg.ticks_per_wide_cycle, out.dl0, out.ul1);
   return true;
 }
 
@@ -83,7 +76,6 @@ SampledResult WindowedSimulator::run(const StreamFactory& factory, u64 trace_len
   SampledResult result;
   result.spec = spec_;
   result.trace_len = trace_len;
-  const Tick wt = cfg_.ticks_per_wide_cycle;
 
   const auto full_run = [&]() {
     const std::unique_ptr<RecordStream> stream = factory();
@@ -107,46 +99,20 @@ SampledResult WindowedSimulator::run(const StreamFactory& factory, u64 trace_len
   std::vector<WindowStats> stats(plan.size());
   std::vector<unsigned char> valid(plan.size(), 0);
 
+  // Every window is the same pure function of (config, program, range).
+  // Serial runs it over one shared stream in trace order — records between
+  // windows are generated (determinism requires it) but not simulated.
+  // Parallel gives each window job its own stream, so the splice below is
+  // bit-identical across thread counts.
   if (threads <= 1) {
-    // Serial: one stream, one forward pass. Windows open and close in trace
-    // order as the scan crosses their boundaries; records between windows
-    // are generated (determinism requires it) but not simulated.
     const std::unique_ptr<RecordStream> stream = factory();
-    std::size_t wi = 0;
-    u64 pos = plan.front().begin;
-    WindowRun run;
-    stream->feed_range(plan.front().begin, plan.back().end(),
-                       [&](const TraceRecord& rec) {
-                         if (wi >= plan.size()) return;
-                         const WindowRange& w = plan[wi];
-                         if (pos++ < w.begin) return;  // inter-window skip
-                         if (!run.pipeline) run.open(cfg_, stream->program(), w.warmup);
-                         run.feed(rec, w.warmup);
-                         if (run.fed == w.warmup + w.measure) {
-                           valid[wi] = close_window(w, run, wt, stats[wi]);
-                           ++wi;
-                         }
-                       });
-    // The stream may have ended mid-window (short trace): close what's open.
-    if (wi < plan.size() && run.pipeline)
-      valid[wi] = close_window(plan[wi], run, wt, stats[wi]);
+    for (std::size_t i = 0; i < plan.size(); ++i)
+      valid[i] = run_window(cfg_, plan[i], *stream, stats[i]);
   } else {
-    // Parallel slicing: each window is an independent job — fresh stream,
-    // cold pipeline, K warm-up µops — exactly the serial per-window
-    // computation, so the splice below is bit-identical to the serial run.
     exp::ThreadPool pool(std::min<unsigned>(
         threads, static_cast<unsigned>(std::min<std::size_t>(plan.size(), 4096))));
-    for (std::size_t i = 0; i < plan.size(); ++i) {
-      pool.submit([&, i] {
-        const WindowRange& w = plan[i];
-        const std::unique_ptr<RecordStream> stream = factory();
-        WindowRun run;
-        run.open(cfg_, stream->program(), w.warmup);
-        stream->feed_range(w.begin, w.end(),
-                           [&](const TraceRecord& rec) { run.feed(rec, w.warmup); });
-        valid[i] = close_window(w, run, wt, stats[i]);
-      });
-    }
+    for (std::size_t i = 0; i < plan.size(); ++i)
+      pool.submit([&, i] { valid[i] = run_window(cfg_, plan[i], *factory(), stats[i]); });
     pool.wait_idle();
   }
 
@@ -172,7 +138,7 @@ SampledResult WindowedSimulator::run(const StreamFactory& factory, u64 trace_len
     // halting almost immediately): no measured window exists, fall back.
     return full_run();
   }
-  result.total.finalize(wt, dl0, ul1);
+  result.total.finalize(cfg_.ticks_per_wide_cycle, dl0, ul1);
   return result;
 }
 
@@ -187,8 +153,9 @@ SampledResult simulate_sampled(const MachineConfig& cfg, const WorkloadProfile& 
 SampledResult simulate_sampled(const MachineConfig& cfg, const Trace& trace,
                                const SampleSpec& spec, unsigned threads) {
   const WindowedSimulator sim(cfg, spec);
-  return sim.run([&trace] { return open_trace_stream(trace); }, trace.records.size(),
-                 threads);
+  return sim.run(
+      [&trace] { return open_cursor_stream(std::make_unique<TraceVectorCursor>(trace)); },
+      trace.records.size(), threads);
 }
 
 // --- sampled-vs-full error reporting ----------------------------------------

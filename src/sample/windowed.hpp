@@ -53,11 +53,12 @@ class WindowedSimulator {
  public:
   WindowedSimulator(const MachineConfig& cfg, const SampleSpec& spec);
 
-  /// Run the schedule over one trace. threads <= 1: serial, a single
-  /// forward pass over one stream. threads > 1: every window is an
-  /// independent slice job on a thread pool, each opening its own stream
-  /// and cold-starting at its warm-up boundary. Results are bit-identical
-  /// across thread counts.
+  /// Run the schedule over one trace. Each window runs the same body:
+  /// feed its range into a cold pipeline built on its first record.
+  /// threads <= 1: serial, the windows in trace order over one shared
+  /// stream. threads > 1: every window is an independent job on a thread
+  /// pool, each opening its own stream. Results are bit-identical across
+  /// thread counts.
   SampledResult run(const StreamFactory& factory, u64 trace_len,
                     unsigned threads = 1) const;
 
@@ -67,7 +68,7 @@ class WindowedSimulator {
 };
 
 /// Sampled counterpart of simulate_workload(): trace routing matches it
-/// (cached/materialized at or below stream_threshold(), streamed above).
+/// (workload_stream_factory reads through open_trace_cursor()).
 /// n_records == 0 resolves to default_trace_len().
 SampledResult simulate_sampled(const MachineConfig& cfg, const WorkloadProfile& profile,
                                u64 n_records, const SampleSpec& spec,

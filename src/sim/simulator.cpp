@@ -6,10 +6,8 @@
 #include <sstream>
 #include <vector>
 
-#include "rv/kernels.hpp"
 #include "sample/windowed.hpp"
 #include "util/log.hpp"
-#include "wload/program_gen.hpp"
 
 namespace hcsim {
 
@@ -20,34 +18,21 @@ u64 default_trace_len() {
 
 u64 stream_threshold() {
   // 2M records ≈ 64MB of trace — the most the process-wide cache should pin
-  // per (workload, length) cell. Deliberately not cached in a static:
-  // the threshold-boundary tests move it at runtime.
-  return env_u64("HCSIM_STREAM_THRESHOLD", 2000000);
+  // per (workload, length) cell.
+  return 2000000;
+}
+
+std::unique_ptr<TraceCursor> open_trace_cursor(const WorkloadProfile& profile,
+                                               u64 n_records) {
+  if (n_records <= stream_threshold())
+    return std::make_unique<TraceVectorCursor>(cached_trace(profile, n_records));
+  return open_workload_cursor(profile, n_records);
 }
 
 SimResult simulate_streamed(const MachineConfig& cfg, const WorkloadProfile& profile,
                             u64 n_records) {
   if (n_records == 0) n_records = default_trace_len();
-  if (!profile.rv_kernel.empty()) {
-    // RV kernels stream push-side: the functional executor drives a sink
-    // that cracks each instruction into a bounded staging buffer; full
-    // chunks flow to the pipeline's batched (SoA-classified) feed.
-    const rv::KernelStream stream = rv::open_kernel_stream(profile.rv_kernel);
-    Pipeline p(cfg, stream.cracked.program);
-    std::vector<TraceRecord> buf;
-    buf.reserve(kTraceChunkRecords);
-    stream.pump(n_records, [&](const TraceRecord& rec) {
-      buf.push_back(rec);
-      if (buf.size() == kTraceChunkRecords) {
-        p.feed(std::span<const TraceRecord>(buf));
-        buf.clear();
-      }
-    });
-    p.feed(std::span<const TraceRecord>(buf));
-    return p.finish();
-  }
-  ProgramTraceCursor cursor(generate_program(profile), profile, n_records);
-  return simulate(cfg, cursor);
+  return simulate(cfg, *open_workload_cursor(profile, n_records));
 }
 
 SimResult simulate_workload(const MachineConfig& cfg, const WorkloadProfile& profile,
@@ -59,9 +44,7 @@ SimResult simulate_workload(const MachineConfig& cfg, const WorkloadProfile& pro
   const sample::SampleSpec& spec = sample::active_sample_spec();
   if (spec.enabled())
     return sample::simulate_sampled(cfg, profile, n_records, spec).total;
-  if (n_records <= stream_threshold())
-    return simulate(cfg, cached_trace(profile, n_records));
-  return simulate_streamed(cfg, profile, n_records);
+  return simulate(cfg, *open_trace_cursor(profile, n_records));
 }
 
 const Trace& cached_trace(const WorkloadProfile& profile, u64 n_records) {

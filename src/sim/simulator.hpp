@@ -5,6 +5,7 @@
 // baseline-vs-helper-cluster comparison that every figure reports.
 #pragma once
 
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -23,16 +24,21 @@ u64 default_trace_len();
 
 /// Process-wide deterministic trace cache (keyed by profile name, seed and
 /// length). Returned reference is valid for the process lifetime. Only
-/// CI-sized traces belong here — simulate_workload() stops materializing
+/// CI-sized traces belong here — open_trace_cursor() stops materializing
 /// (and caching) above stream_threshold().
 const Trace& cached_trace(const WorkloadProfile& profile, u64 n_records);
 
-/// Trace length above which simulate_workload() streams records chunk-wise
-/// from the generator instead of materializing + caching the whole trace
-/// (a paper-scale 100M-µop window is ~3GB of records). Overridable via the
-/// HCSIM_STREAM_THRESHOLD environment variable, re-read on every call so
-/// tests can move the boundary at runtime.
+/// Trace length above which runs stream records chunk-wise from the
+/// generating backend instead of materializing + caching the whole trace
+/// (a paper-scale 100M-µop window is ~3GB of records): 2M records.
 u64 stream_threshold();
+
+/// The one choice between cached and streamed traces: a view of
+/// cached_trace() at or below stream_threshold(), a fresh
+/// open_workload_cursor() above it. Every routed run reads its records
+/// through this, so the boundary may change memory use, never results.
+std::unique_ptr<TraceCursor> open_trace_cursor(const WorkloadProfile& profile,
+                                               u64 n_records);
 
 /// Always-streaming simulation: records flow from the workload generator
 /// (or the RV kernel cracker) straight into the pipeline, O(chunk) memory.
@@ -40,13 +46,14 @@ u64 stream_threshold();
 SimResult simulate_streamed(const MachineConfig& cfg, const WorkloadProfile& profile,
                             u64 n_records);
 
-/// Simulate one workload: cached in-memory trace for runs at or below
-/// stream_threshold() (shared across experiments), streaming above it.
-/// When the process-wide sampling spec (sample::active_sample_spec(),
-/// HCSIM_SAMPLE_* environment variables or a CLI front-end) is enabled, the
-/// run goes through the src/sample windowed simulator instead and the
-/// returned result is the spliced measured-window aggregate — which is how
-/// every named sweep runs sampled without new plumbing.
+/// Simulate one workload through open_trace_cursor(): cached in-memory
+/// trace at or below stream_threshold() (shared across experiments),
+/// streaming above it. When the process-wide sampling spec
+/// (sample::active_sample_spec(), HCSIM_SAMPLE_* environment variables or a
+/// CLI front-end) is enabled, the run goes through the src/sample windowed
+/// simulator instead and the returned result is the spliced measured-window
+/// aggregate — which is how every named sweep runs sampled without new
+/// plumbing.
 SimResult simulate_workload(const MachineConfig& cfg, const WorkloadProfile& profile,
                             u64 n_records = 0);
 

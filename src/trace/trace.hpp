@@ -18,9 +18,10 @@
 
 namespace hcsim {
 
-/// Shared chunk geometry: records per TraceCursor chunk. One constant so the
-/// pull cursors (wload/executor.hpp) and the pipeline's SoA batches cannot
-/// drift apart.
+/// Shared chunk geometry: records per generating TraceCursor chunk. One
+/// constant so the pull cursors and the pipeline's SoA batches cannot drift
+/// apart. (rv::RvTraceCursor fills by whole instructions, so its chunks may
+/// run one crack past it.)
 inline constexpr std::size_t kTraceChunkRecords = std::size_t{1} << 16;
 
 /// One dynamic µop instance.
@@ -109,10 +110,13 @@ inline void WidthLaneBlock::classify(std::span<const TraceRecord> recs,
   }
 }
 
-/// Streaming view of a dynamic µop stream: the pipeline pulls records
-/// chunk-wise, so long runs (the paper's 100M-instruction windows) never
-/// materialize a multi-GB std::vector<TraceRecord>. Records arrive in
-/// program order; an empty chunk ends the stream.
+/// Streaming view of a dynamic µop stream — the one record source. The
+/// pipeline pulls records chunk-wise, so long runs (the paper's
+/// 100M-instruction windows) never materialize a multi-GB
+/// std::vector<TraceRecord>. Records arrive in program order; an empty chunk
+/// ends the stream. Three backends: TraceVectorCursor (a materialized
+/// trace), ProgramTraceCursor (the synthetic generator, wload/executor.hpp)
+/// and rv::RvTraceCursor (RISC-V code through the executor and cracker).
 class TraceCursor {
  public:
   virtual ~TraceCursor() = default;
@@ -123,6 +127,14 @@ class TraceCursor {
 
   /// Next chunk of records, valid until the next call. Empty = end.
   virtual std::span<const TraceRecord> next_chunk() = 0;
+
+  /// True when next_chunk() computes its records; false when they already
+  /// exist (a materialized trace), so skipping them costs nothing.
+  virtual bool generates() const { return true; }
+
+  /// Records still to come when that is known up front (the synthetic
+  /// generator), else 0. Lets drain_cursor size its vector once.
+  virtual u64 size_hint() const { return 0; }
 };
 
 /// Cursor over a materialized trace: one chunk, zero copies.
@@ -131,6 +143,7 @@ class TraceVectorCursor final : public TraceCursor {
   explicit TraceVectorCursor(const Trace& trace) : trace_(trace) {}
 
   const Program& program() const override { return trace_.program; }
+  bool generates() const override { return false; }
 
   std::span<const TraceRecord> next_chunk() override {
     if (done_) return {};
@@ -142,6 +155,17 @@ class TraceVectorCursor final : public TraceCursor {
   const Trace& trace_;
   bool done_ = false;
 };
+
+/// Drain every remaining record of `cursor` into a materialized Trace.
+inline Trace drain_cursor(TraceCursor& cursor, u64 seed) {
+  Trace trace;
+  trace.program = cursor.program();
+  trace.seed = seed;
+  trace.records.reserve(cursor.size_hint());
+  for (auto chunk = cursor.next_chunk(); !chunk.empty(); chunk = cursor.next_chunk())
+    trace.records.insert(trace.records.end(), chunk.begin(), chunk.end());
+  return trace;
+}
 
 /// Binary trace serialization (versioned, little-endian). Returns false on
 /// I/O failure; `load_trace` additionally validates the header.

@@ -87,8 +87,7 @@ std::array<u32, kNumRegs> initial_regs() {
 }
 
 /// Interpret the µop at `pc`, updating `regs`/`mem`/`pc` (with program
-/// restart), and return its dynamic record. Shared by the materializing
-/// executor and the streaming cursor so both emit bit-identical streams.
+/// restart), and return its dynamic record.
 TraceRecord step_uop(const Program& program, std::array<u32, kNumRegs>& regs,
                      SyntheticMemory& mem, u32& pc) {
   const u32 n_static = static_cast<u32>(program.uops.size());
@@ -180,18 +179,8 @@ TraceRecord step_uop(const Program& program, std::array<u32, kNumRegs>& regs,
 
 Trace execute_program(const Program& program, const WorkloadProfile& profile,
                       u64 n_records) {
-  HCSIM_CHECK(!program.uops.empty(), "cannot execute an empty program");
-  Trace trace;
-  trace.program = program;
-  trace.seed = profile.seed;
-  trace.records.reserve(n_records);
-
-  std::array<u32, kNumRegs> regs = initial_regs();
-  SyntheticMemory mem(profile);
-  u32 pc = 0;
-  while (trace.records.size() < n_records)
-    trace.records.push_back(step_uop(program, regs, mem, pc));
-  return trace;
+  ProgramTraceCursor cursor(program, profile, n_records);
+  return drain_cursor(cursor, profile.seed);
 }
 
 ProgramTraceCursor::ProgramTraceCursor(Program program, const WorkloadProfile& profile,
@@ -216,12 +205,16 @@ std::span<const TraceRecord> ProgramTraceCursor::next_chunk() {
   return buf_;
 }
 
+std::unique_ptr<TraceCursor> open_workload_cursor(const WorkloadProfile& profile,
+                                                  u64 n_records) {
+  if (!profile.rv_kernel.empty())
+    return rv::open_kernel_cursor(profile.rv_kernel, n_records);
+  return std::make_unique<ProgramTraceCursor>(generate_program(profile), profile,
+                                              n_records);
+}
+
 Trace generate_trace(const WorkloadProfile& profile, u64 n_records) {
-  // RISC-V kernel workloads route through the src/rv frontend: n_records is
-  // the µop budget (kernels run to completion, generated programs loop).
-  if (!profile.rv_kernel.empty()) return rv::kernel_trace(profile.rv_kernel, n_records);
-  const Program program = generate_program(profile);
-  return execute_program(program, profile, n_records);
+  return drain_cursor(*open_workload_cursor(profile, n_records), profile.seed);
 }
 
 }  // namespace hcsim

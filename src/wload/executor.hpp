@@ -9,6 +9,7 @@
 #pragma once
 
 #include <array>
+#include <memory>
 #include <unordered_map>
 
 #include "isa/reg.hpp"
@@ -40,15 +41,22 @@ class SyntheticMemory {
 Trace execute_program(const Program& program, const WorkloadProfile& profile,
                       u64 n_records);
 
-/// Convenience: generate_program + execute_program.
+/// The one choice between the two generating backends: `profile`'s
+/// n_records-µop trace as a fresh pull cursor — the RISC-V kernel through
+/// the executor and cracker when profile.rv_kernel is set (n_records is then
+/// a µop budget: kernels run to completion, generated programs loop), the
+/// synthetic generator otherwise.
+std::unique_ptr<TraceCursor> open_workload_cursor(const WorkloadProfile& profile,
+                                                  u64 n_records);
+
+/// open_workload_cursor drained into a materialized trace.
 Trace generate_trace(const WorkloadProfile& profile, u64 n_records);
 
 /// Streaming counterpart of execute_program: a pull cursor that interprets
 /// the program on demand, one bounded chunk at a time, into an internal
 /// reusable buffer. Long runs therefore cost O(chunk) memory instead of a
-/// materialized record vector — the record stream is bit-identical to
-/// execute_program's. Owns the program; generated-workload only (RISC-V
-/// kernels stream push-side, see rv/kernels.hpp).
+/// materialized record vector — execute_program drains one. Owns the
+/// program.
 class ProgramTraceCursor final : public TraceCursor {
  public:
   static constexpr std::size_t kDefaultChunkRecords = kTraceChunkRecords;
@@ -62,6 +70,7 @@ class ProgramTraceCursor final : public TraceCursor {
 
   const Program& program() const override { return program_; }
   std::span<const TraceRecord> next_chunk() override;
+  u64 size_hint() const override { return remaining_; }
 
  private:
   Program program_;

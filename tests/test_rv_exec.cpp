@@ -9,6 +9,22 @@
 namespace hcsim::rv {
 namespace {
 
+struct RvExecResult {
+  std::array<u32, 32> regs{};
+  u64 steps = 0;
+  bool completed = false;  // reached ecall/ebreak/halt-sentinel
+  std::string error;       // nonempty on trap (bad pc/address/instruction)
+};
+
+/// Step a machine until it stops retiring: halt, trap or step budget.
+RvExecResult execute(const RvProgram& prog, const ExecLimits& limits) {
+  RvMachine m(prog, limits);
+  RvStep step;
+  while (m.step(step) == RvMachine::Outcome::kRetired) {
+  }
+  return {m.regs(), m.steps(), m.completed(), m.error()};
+}
+
 RvExecResult run(const std::string& src, const ExecLimits& limits = {}) {
   AsmResult r = assemble("t", src);
   EXPECT_TRUE(r.ok()) << r.error;

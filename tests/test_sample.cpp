@@ -3,7 +3,7 @@
 // The load-bearing property is the checkpoint contract: a window is a pure
 // function of (machine config, program, record range), so the serial
 // windowed run, the thread-pool-sliced parallel run, and the same schedule
-// over any of the three record-stream backends (materialized trace,
+// over any of the three TraceCursor backends (materialized trace,
 // synthetic cursor, RV kernel executor) must all be bit-identical.
 #include <gtest/gtest.h>
 
@@ -16,6 +16,7 @@
 #include "sample/spec.hpp"
 #include "sample/windowed.hpp"
 #include "sim/simulator.hpp"
+#include "wload/program_gen.hpp"
 
 namespace hcsim::sample {
 namespace {
@@ -187,20 +188,27 @@ TEST(Windowed, SerialAndParallelBitIdentical) {
   }
 }
 
+/// The streaming side of the routing, built directly: each stream re-runs
+/// the generating backend from the trace start.
+StreamFactory streaming_factory(const WorkloadProfile& profile, u64 n_records) {
+  return [&profile, n_records] {
+    return open_cursor_stream(open_workload_cursor(profile, n_records));
+  };
+}
+
 TEST(Windowed, CursorStreamMatchesMaterializedTrace) {
-  // A tiny stream threshold forces the profile-based run onto the synthetic
-  // generator cursor; the Trace overload simulates the materialized records.
+  // The synthetic generator cursor against the materialized records.
   // Period 6500 over 20000 records truncates the final window mid-measure
   // (begin 19500, warm-up to 19800, only 200 of 800 measured µops left).
-  EnvGuard threshold("HCSIM_STREAM_THRESHOLD", "1000");
   SampleSpec spec;
   spec.warmup = 300;
   spec.measure = 800;
   spec.period = 6500;
   const WorkloadProfile& prof = spec_profile("bzip2");
   const MachineConfig cfg = helper_machine(steering_ir());
+  const WindowedSimulator sim(cfg, spec);
 
-  const SampledResult streamed = simulate_sampled(cfg, prof, 20000, spec, 1);
+  const SampledResult streamed = sim.run(streaming_factory(prof, 20000), 20000, 1);
   const SampledResult materialized =
       simulate_sampled(cfg, cached_trace(prof, 20000), spec, 1);
   ASSERT_TRUE(streamed.sampled);
@@ -208,22 +216,41 @@ TEST(Windowed, CursorStreamMatchesMaterializedTrace) {
   EXPECT_EQ(streamed.windows.back().range.measure, 200u);
   expect_identical(streamed, materialized);
   // And the parallel sliced run agrees with both.
-  expect_identical(streamed, simulate_sampled(cfg, prof, 20000, spec, 3));
+  expect_identical(streamed, sim.run(streaming_factory(prof, 20000), 20000, 3));
+  // Odd-sized chunks put chunk boundaries inside windows and inside skips.
+  const auto small_chunks = [&prof] {
+    return open_cursor_stream(std::make_unique<ProgramTraceCursor>(
+        generate_program(prof), prof, 20000, /*chunk_records=*/777));
+  };
+  expect_identical(streamed, sim.run(small_chunks, 20000, 1));
 }
 
 TEST(Windowed, RvKernelStreamBitIdentical) {
-  // Below the threshold the RV kernel is materialized through cached_trace;
-  // above it each window job re-executes the kernel from entry. Both paths
-  // and all thread counts must agree.
-  EnvGuard threshold("HCSIM_STREAM_THRESHOLD", "1000");
-  const WorkloadProfile prof = rv::rv_workload_profile("crc32");
+  // The RV executor cursor, streamed (each window job re-executes the
+  // kernel from entry) against the materialized kernel trace, serial and
+  // parallel. dot at 7777 µops: the budget cuts an instruction's crack, and
+  // the stream must stop before it exactly as the materialized trace does.
+  // crc32 at 60000: the kernel halts at 34336 µops, so the plan runs past
+  // the trace end.
+  SampleSpec dense = test_spec();
+  dense.period = 2000;
+  const struct {
+    const char* kernel;
+    u64 len;
+    SampleSpec spec;
+  } cases[] = {{"crc32", kLen, test_spec()}, {"dot", 7777, dense}, {"crc32", 60000, dense}};
   const MachineConfig cfg = helper_machine(steering_888_br_lr_cr());
-  const SampleSpec spec = test_spec();
-
-  const SampledResult executor = simulate_sampled(cfg, prof, kLen, spec, 1);
-  ASSERT_TRUE(executor.sampled);
-  expect_identical(executor, simulate_sampled(cfg, rv::kernel_trace("crc32", kLen), spec, 1));
-  expect_identical(executor, simulate_sampled(cfg, prof, kLen, spec, 4));
+  for (const auto& c : cases) {
+    SCOPED_TRACE(std::string(c.kernel) + " @ " + std::to_string(c.len));
+    const WorkloadProfile prof = rv::rv_workload_profile(c.kernel);
+    const WindowedSimulator sim(cfg, c.spec);
+    const SampledResult streamed = sim.run(streaming_factory(prof, c.len), c.len, 1);
+    ASSERT_TRUE(streamed.sampled);
+    expect_identical(streamed, sim.run(streaming_factory(prof, c.len), c.len, 4));
+    expect_identical(streamed,
+                     simulate_sampled(cfg, rv::kernel_trace(c.kernel, c.len), c.spec, 1));
+    expect_identical(streamed, simulate_sampled(cfg, prof, c.len, c.spec, 1));
+  }
 }
 
 TEST(Windowed, FallsBackToFullRunOnShortTrace) {

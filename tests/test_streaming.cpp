@@ -3,9 +3,6 @@
 // is bit-identical to the materialized-vector path.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <string>
-
 #include "rv/kernels.hpp"
 #include "sim/simulator.hpp"
 #include "wload/program_gen.hpp"
@@ -80,27 +77,20 @@ TEST(Streaming, SimulateWorkloadRoutesByThreshold) {
 }
 
 TEST(Streaming, ThresholdBoundaryIsInvisible) {
-  // Pin the routing boundary and run exactly at, one below and one above it:
-  // 999/1000 take the cached-trace branch, 1001 the streaming branch. All
-  // three must match the materialized simulation bit-for-bit — the boundary
-  // may change memory behavior, never results.
-  const char* old = std::getenv("HCSIM_STREAM_THRESHOLD");
-  const std::string saved = old ? old : "";
-  setenv("HCSIM_STREAM_THRESHOLD", "1000", 1);
-  ASSERT_EQ(stream_threshold(), 1000u);
-
-  const WorkloadProfile& prof = spec_profile("twolf");
+  // open_trace_cursor routes exactly stream_threshold() records to the
+  // cached trace and one more to a streaming cursor. The RV kernel halts
+  // long before either length, so both routes deliver the same records and
+  // must match the materialized simulation bit-for-bit — the boundary may
+  // change memory behavior, never results.
+  const WorkloadProfile prof = rv::rv_workload_profile("crc32");
   const MachineConfig cfg = helper_machine(steering_ir());
-  for (u64 len : {u64{999}, u64{1000}, u64{1001}}) {
-    const SimResult routed = simulate_workload(cfg, prof, len);
-    const SimResult materialized = simulate(cfg, cached_trace(prof, len));
-    EXPECT_TRUE(materialized == routed) << "len " << len;
+  const SimResult materialized =
+      simulate(cfg, rv::kernel_trace("crc32", stream_threshold()));
+  for (u64 len : {stream_threshold(), stream_threshold() + 1}) {
+    EXPECT_EQ(open_trace_cursor(prof, len)->generates(), len > stream_threshold())
+        << "len " << len;
+    EXPECT_TRUE(materialized == simulate_workload(cfg, prof, len)) << "len " << len;
   }
-
-  if (old)
-    setenv("HCSIM_STREAM_THRESHOLD", saved.c_str(), 1);
-  else
-    unsetenv("HCSIM_STREAM_THRESHOLD");
 }
 
 }  // namespace
