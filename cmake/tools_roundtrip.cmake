@@ -83,6 +83,12 @@ expect_usage_error(${HCRV} run fib --budget -1)
 expect_usage_error(${BENCH} --reps 4294967296)
 expect_usage_error(${GEN} gcc -5000 c.hctrace)
 expect_usage_error(${DUMP} a.hctrace -1)
+# An inconsistent sampling schedule (period < warmup + measure) is a usage
+# error, not an abort; so is a zero warm-up over the job protocol, which
+# reads warmup 0 as the default warm-up.
+expect_usage_error(${SWEEP} smoke --sample-period 100)
+expect_usage_error(${RUN} gcc ir 20000 --sample-period 100)
+expect_usage_error(${SWEEP} smoke --sample-warmup 0 --journal-dir ft_journal)
 run_checked(${SWEEP} smoke --len 5 --quiet)
 
 message(STATUS "tools round-trip OK")

@@ -1,5 +1,6 @@
 #include "exp/runner.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <map>
 #include <tuple>
@@ -62,97 +63,90 @@ void ThreadPool::worker_loop() {
   }
 }
 
-// --- run_sweep --------------------------------------------------------------
+// --- the sweep plan and its runner -----------------------------------------
 
-namespace {
-
-/// Run all jobs: inline when serial, else on a private pool sized to
-/// `threads`. Each job must be independent of the others (they may run in
-/// any order).
-void run_jobs(std::vector<std::function<void()>>& jobs, unsigned threads) {
+void parallel_for(std::size_t n, unsigned threads,
+                  const std::function<void(std::size_t)>& fn) {
   if (threads <= 1) {
-    for (auto& job : jobs) job();
+    for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
   }
-  ThreadPool pool(threads);
-  for (auto& job : jobs) pool.submit(std::move(job));
+  if (n == 0) return;
+  ThreadPool pool(static_cast<unsigned>(std::min<std::size_t>(threads, n)));
+  for (std::size_t i = 0; i < n; ++i) pool.submit([&fn, i] { fn(i); });
   pool.wait_idle();
 }
 
-}  // namespace
+unsigned resolve_threads(unsigned requested) {
+  return requested != 0 ? requested : std::max(1u, std::thread::hardware_concurrency());
+}
+
+SweepPlan plan_sweep(const SweepSpec& spec) {
+  SweepPlan plan;
+  plan.baseline = spec.baseline;
+  plan.points = expand(spec);
+  plan.baseline_job.resize(plan.points.size());
+  plan.variant_job.resize(plan.points.size());
+  std::map<std::tuple<u32, u32, u32>, u32> cell_baseline;  // cell -> job
+  for (const ExperimentPoint& p : plan.points) {
+    const auto key = std::make_tuple(p.workload_idx, p.seed_idx, p.len_idx);
+    const auto [it, first] = cell_baseline.emplace(key, static_cast<u32>(plan.jobs.size()));
+    if (first) plan.jobs.push_back({p.index, true});
+    plan.baseline_job[p.index] = it->second;
+    plan.variant_job[p.index] = static_cast<u32>(plan.jobs.size());
+    plan.jobs.push_back({p.index, false});
+  }
+  return plan;
+}
+
+PointResult make_point_result(const ExperimentPoint& point,
+                              const MachineConfig& baseline_machine,
+                              SimResult baseline, SimResult sim) {
+  PointResult pr;
+  pr.point = point;
+  pr.power_baseline = analyze_power(baseline, baseline_machine);
+  pr.power_sim = analyze_power(sim, point.variant.machine);
+  pr.baseline = std::move(baseline);
+  pr.sim = std::move(sim);
+  return pr;
+}
 
 SweepResult run_sweep(const SweepSpec& spec, const RunOptions& opts) {
   const auto t0 = std::chrono::steady_clock::now();
-
-  unsigned threads = opts.threads;
-  if (threads == 0) threads = std::max(1u, std::thread::hardware_concurrency());
-
-  const std::vector<ExperimentPoint> points = expand(spec);
-
-  // Baseline cells: one (trace, baseline simulation) per unique
-  // (workload, seed, length) combination, shared by every variant point.
-  struct BaselineCell {
-    const WorkloadProfile* profile = nullptr;
-    u64 n_records = 0;
-    SimResult sim;
-    PowerReport power;
-  };
-  std::map<std::tuple<u32, u32, u32>, u32> cell_of;
-  std::vector<BaselineCell> cells;
-  std::vector<u32> point_cell(points.size());
-  for (const ExperimentPoint& p : points) {
-    const auto key = std::make_tuple(p.workload_idx, p.seed_idx, p.len_idx);
-    auto [it, inserted] = cell_of.emplace(key, static_cast<u32>(cells.size()));
-    if (inserted) cells.push_back({&p.profile, p.n_records, {}, {}});
-    point_cell[p.index] = it->second;
-  }
-
-  // Phase 1: generate traces and simulate the baseline machine, one job per
-  // cell. Below the stream threshold simulate_workload() warms the process-
-  // wide trace cache (internally synchronized, so concurrent cells are
-  // fine); above it every simulation streams records straight from the
-  // generator and nothing is materialized.
-  {
-    std::vector<std::function<void()>> jobs;
-    jobs.reserve(cells.size());
-    for (BaselineCell& cell : cells)
-      jobs.push_back([&cell, &spec] {
-        cell.sim = simulate_workload(spec.baseline, *cell.profile, cell.n_records);
-        cell.power = analyze_power(cell.sim, spec.baseline);
-      });
-    run_jobs(jobs, threads);
-  }
-
-  // Phase 2: one job per point; results land in their index slot, so the
-  // collected vector is in grid order no matter the completion order.
+  const SweepPlan plan = plan_sweep(spec);
   SweepResult result;
   result.sweep = spec.name;
-  result.threads_used = threads;
-  result.points.resize(points.size());
+  result.threads_used = resolve_threads(opts.threads);
+  result.points.resize(plan.points.size());
 
-  std::mutex progress_mu;
+  // The points waiting on each job; a point is ready once both of its jobs
+  // are done. Below the stream threshold simulate_workload() shares the
+  // process-wide trace cache (internally synchronized); above it every job
+  // streams its records straight from the generator.
+  std::vector<std::vector<u32>> waiting(plan.jobs.size());
+  for (const ExperimentPoint& p : plan.points)
+    for (u32 j : {plan.baseline_job[p.index], plan.variant_job[p.index]})
+      waiting[j].push_back(p.index);
+  std::vector<u8> jobs_left(plan.points.size(), 2);
+  std::vector<SimResult> sims(plan.jobs.size());
+  std::mutex mu;  // guards jobs_left, done and on_point
   u64 done = 0;
-  {
-    std::vector<std::function<void()>> jobs;
-    jobs.reserve(points.size());
-    for (const ExperimentPoint& p : points)
-      jobs.push_back([&, &p = p] {
-        const BaselineCell& cell = cells[point_cell[p.index]];
-        PointResult pr;
-        pr.point = p;
-        pr.baseline = cell.sim;
-        pr.power_baseline = cell.power;
-        pr.sim = simulate_workload(p.variant.machine, p.profile, p.n_records);
-        pr.power_sim = analyze_power(pr.sim, p.variant.machine);
-        result.points[p.index] = std::move(pr);
-        if (opts.on_point) {
-          std::lock_guard<std::mutex> lock(progress_mu);
-          ++done;
-          opts.on_point(result.points[p.index], done, points.size());
-        }
-      });
-    run_jobs(jobs, threads);
-  }
+  parallel_for(plan.jobs.size(), result.threads_used, [&](std::size_t j) {
+    const ExperimentPoint& trace_of = plan.points[plan.jobs[j].point];
+    sims[j] = simulate_workload(plan.config(plan.jobs[j]), trace_of.profile,
+                                trace_of.n_records);
+    std::unique_lock<std::mutex> lock(mu);
+    for (u32 i : waiting[j]) {
+      if (--jobs_left[i] != 0) continue;
+      // Both jobs are done and no other point reads this variant run.
+      lock.unlock();
+      result.points[i] = make_point_result(plan.points[i], spec.baseline,
+                                           sims[plan.baseline_job[i]],
+                                           std::move(sims[plan.variant_job[i]]));
+      lock.lock();
+      if (opts.on_point) opts.on_point(result.points[i], ++done, plan.points.size());
+    }
+  });
 
   result.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();

@@ -1,10 +1,13 @@
 // hcsim — parallel sweep execution.
 //
-// Each ExperimentPoint is a pure function of (trace, machine config), so a
-// sweep parallelises trivially: points execute on a fixed-size ThreadPool
-// and results land in a pre-sized vector slot keyed by point index. The
-// collected SweepResult is therefore bit-identical across thread counts —
-// including threads=1, which bypasses the pool entirely (serial fallback).
+// Each ExperimentPoint is a pure function of (trace, machine config).
+// plan_sweep() is the one place a grid becomes simulation jobs, in the order
+// run_sweep() runs them and the fault-tolerant client (svc/remote_sweep.hpp)
+// submits them; make_point_result() is the one place a point is assembled.
+// run_sweep() runs every job through one parallel_for() with no phase
+// barrier. Results land in slots keyed by point index, so a SweepResult is
+// bit-identical across thread counts — including threads=1, which runs
+// inline.
 #pragma once
 
 #include <condition_variable>
@@ -89,8 +92,46 @@ struct SweepResult {
   std::vector<PointResult> points;
 };
 
-/// Execute every point of the sweep. Baseline simulations are shared: one
-/// per unique (workload, seed, length) cell, not one per point.
+/// Run fn(0) .. fn(n-1) and return when every call has finished: inline in
+/// index order when threads <= 1, else on a private pool of min(threads, n)
+/// workers that take indices in order. Calls must be independent.
+void parallel_for(std::size_t n, unsigned threads,
+                  const std::function<void(std::size_t)>& fn);
+
+/// `requested`, with 0 resolved to std::thread::hardware_concurrency().
+unsigned resolve_threads(unsigned requested);
+
+/// One simulation: the plan's baseline machine or a point's variant, over
+/// that point's trace (profile, seed and length).
+struct SweepJob {
+  u32 point = 0;
+  bool baseline = false;
+};
+
+/// A grid as jobs: one baseline job per (workload, seed, length) cell and
+/// one variant job per point. Jobs are in first-appearance order: walking
+/// the points by index, a cell's baseline job on first sight, then the
+/// point's variant job.
+struct SweepPlan {
+  MachineConfig baseline;
+  std::vector<ExperimentPoint> points;
+  std::vector<SweepJob> jobs;
+  std::vector<u32> baseline_job, variant_job;  // per point: index into jobs
+
+  const MachineConfig& config(const SweepJob& job) const {
+    return job.baseline ? baseline : points[job.point].variant.machine;
+  }
+};
+
+SweepPlan plan_sweep(const SweepSpec& spec);
+
+/// A point's two runs together with both of their power reports.
+PointResult make_point_result(const ExperimentPoint& point,
+                              const MachineConfig& baseline_machine,
+                              SimResult baseline, SimResult sim);
+
+/// Run every job of plan_sweep(spec) through one parallel_for(). A point is
+/// assembled, and on_point fires, as soon as both of its jobs are done.
 SweepResult run_sweep(const SweepSpec& spec, const RunOptions& opts = {});
 
 }  // namespace hcsim::exp

@@ -15,10 +15,17 @@ u64 SampleSpec::resolved_period(u64 trace_len) const {
   return std::max(warmup + measure, auto_period);
 }
 
+bool SampleSpec::check(std::string& error) const {
+  if (!enabled() || period == 0 || period >= warmup + measure) return true;
+  error = "sample period must be 0 (auto) or >= warmup + measure (period " +
+          std::to_string(period) + ", warmup + measure " +
+          std::to_string(warmup + measure) + ")";
+  return false;
+}
+
 void SampleSpec::validate() const {
-  if (!enabled()) return;
-  HCSIM_CHECK(period == 0 || period >= warmup + measure,
-              "SampleSpec: period must be 0 (auto) or >= warmup + measure");
+  std::string error;
+  HCSIM_CHECK(check(error), "SampleSpec: " + error);
 }
 
 std::string SampleSpec::describe() const {
@@ -45,6 +52,17 @@ SampleSpec spec_from_env() {
   s.max_windows = env_u64("HCSIM_SAMPLE_MAX_WINDOWS", 0);
   s.validate();
   return s;
+}
+
+bool apply_sample_flag(const std::string& flag, const std::function<u64(u64)>& value,
+                       SampleSpec& spec, bool& sampled) {
+  if (flag == "--sample-warmup") spec.warmup = value(0);
+  else if (flag == "--sample-measure") spec.measure = value(1);
+  else if (flag == "--sample-period") spec.period = value(0);
+  else if (flag == "--sample-windows") spec.max_windows = value(0);
+  else if (flag != "--sampled") return false;
+  sampled = true;
+  return true;
 }
 
 namespace {

@@ -15,6 +15,7 @@
 // windowed runs are therefore bit-identical by construction.
 #pragma once
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -43,7 +44,12 @@ struct SampleSpec {
   /// The concrete period for a trace of `trace_len` records.
   u64 resolved_period(u64 trace_len) const;
 
-  /// Fatal on an inconsistent spec (enabled with period < warmup+measure).
+  /// False, with the reason in `error`, for an inconsistent spec (enabled
+  /// with period < warmup+measure). The CLIs and the job protocol check
+  /// through here and report the error.
+  bool check(std::string& error) const;
+
+  /// Fatal where check() fails.
   void validate() const;
 
   /// "warmup=20000 measure=80000 period=auto windows=all"-style summary.
@@ -58,6 +64,13 @@ SampleSpec spec_from_env();
 
 inline constexpr u64 kDefaultWarmup = 20000;
 inline constexpr u64 kDefaultMeasure = 80000;
+
+/// The sampling flags hcsim_run and hcsim_sweep share, applied on top of
+/// spec_from_env(): --sampled and --sample-{warmup,measure,period,windows} N,
+/// each of which sets `sampled`. `value(lo)` reads the flag's argument (at
+/// least `lo`). False when `flag` is none of them.
+bool apply_sample_flag(const std::string& flag, const std::function<u64(u64 lo)>& value,
+                       SampleSpec& spec, bool& sampled);
 
 /// Process-wide active spec consulted by simulate_workload(): initialized
 /// from spec_from_env(), overridable by CLI front-ends. Set it before

@@ -109,11 +109,9 @@ SampledResult WindowedSimulator::run(const StreamFactory& factory, u64 trace_len
     for (std::size_t i = 0; i < plan.size(); ++i)
       valid[i] = run_window(cfg_, plan[i], *stream, stats[i]);
   } else {
-    exp::ThreadPool pool(std::min<unsigned>(
-        threads, static_cast<unsigned>(std::min<std::size_t>(plan.size(), 4096))));
-    for (std::size_t i = 0; i < plan.size(); ++i)
-      pool.submit([&, i] { valid[i] = run_window(cfg_, plan[i], *factory(), stats[i]); });
-    pool.wait_idle();
+    exp::parallel_for(plan.size(), threads, [&](std::size_t i) {
+      valid[i] = run_window(cfg_, plan[i], *factory(), stats[i]);
+    });
   }
 
   // Splice measured windows in trace order.

@@ -11,7 +11,7 @@
 //
 // Because a window is a pure function of (machine config, program, record
 // range), the serial run (one stream, one forward pass) and the parallel run
-// (windows sliced across an exp::ThreadPool, one fresh stream per job) are
+// (one exp::parallel_for() job per window, each opening a fresh stream) are
 // bit-identical — enforced by tests/test_sample.cpp.
 #pragma once
 
@@ -56,9 +56,9 @@ class WindowedSimulator {
   /// Run the schedule over one trace. Each window runs the same body:
   /// feed its range into a cold pipeline built on its first record.
   /// threads <= 1: serial, the windows in trace order over one shared
-  /// stream. threads > 1: every window is an independent job on a thread
-  /// pool, each opening its own stream. Results are bit-identical across
-  /// thread counts.
+  /// stream. threads > 1: every window is an independent job on
+  /// exp::parallel_for(), each opening its own stream. Results are
+  /// bit-identical across thread counts.
   SampledResult run(const StreamFactory& factory, u64 trace_len,
                     unsigned threads = 1) const;
 

@@ -346,11 +346,7 @@ bool resolve_sample_spec(const JobRequest& req, sample::SampleSpec& spec,
   spec.measure = req.measure != 0 ? req.measure : sample::kDefaultMeasure;
   spec.period = req.period;
   spec.max_windows = req.max_windows;
-  if (spec.period != 0 && spec.period < spec.warmup + spec.measure) {
-    error = "sample period smaller than warmup + measure";
-    return false;
-  }
-  return true;
+  return spec.check(error);
 }
 
 u64 job_id(const JobRequest& req) {

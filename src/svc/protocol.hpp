@@ -125,7 +125,7 @@ bool decode(wire::Reader& r, JobRequest& req);
 /// `sampled`, with a zero warmup/measure meaning the sample:: defaults. The
 /// daemon and the fault-tolerant client both resolve through here, so the
 /// local fallback runs exactly the daemon's windows. False (with `error`)
-/// when the period is smaller than warmup + measure.
+/// when SampleSpec::check() refuses the schedule.
 bool resolve_sample_spec(const JobRequest& req, sample::SampleSpec& spec,
                          std::string& error);
 

@@ -4,15 +4,12 @@
 
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
-#include <map>
 #include <mutex>
 #include <thread>
-#include <tuple>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
-#include "power/power_model.hpp"
 #include "sample/spec.hpp"
 #include "sim/simulator.hpp"
 #include "svc/client.hpp"
@@ -71,6 +68,7 @@ std::vector<std::vector<JobRequest>> chunk_jobs(const std::vector<JobRequest>& j
 FtStatus run_sweep_ft(const exp::SweepSpec& spec, const FtSweepOptions& opts,
                       exp::SweepResult& out, FtSweepStats& stats,
                       std::string& error) {
+  const auto t0 = std::chrono::steady_clock::now();
   out = exp::SweepResult{};
   stats = FtSweepStats{};
   error.clear();
@@ -79,51 +77,45 @@ FtStatus run_sweep_ft(const exp::SweepSpec& spec, const FtSweepOptions& opts,
   };
 
   JobRequest proto;
-  proto.sampled = opts.sampled;
-  proto.warmup = opts.warmup;
-  proto.measure = opts.measure;
-  proto.period = opts.period;
-  proto.max_windows = opts.max_windows;
-  // Resolve the sample spec up front exactly as the daemon does, so the
-  // local fallback and the remote path run identical windows.
+  if (opts.sample.enabled()) {
+    // On the wire a zero warmup means "the default warm-up", so an explicit
+    // zero cannot travel; refuse it rather than run different windows.
+    if (opts.sample.warmup == 0) {
+      error = "sampled jobs need warmup > 0: the job protocol reads warmup 0 as "
+              "the default warm-up (docs/PROTOCOL.md)";
+      return FtStatus::kBadSpec;
+    }
+    proto.sampled = true;
+    proto.warmup = opts.sample.warmup;
+    proto.measure = opts.sample.measure;
+    proto.period = opts.sample.period;
+    proto.max_windows = opts.sample.max_windows;
+  }
+  // Resolve the sample spec exactly as the daemon does, so the local
+  // fallback and the remote path run identical windows.
   sample::SampleSpec sample_spec;
   if (!resolve_sample_spec(proto, sample_spec, error)) return FtStatus::kBadSpec;
 
-  const std::vector<exp::ExperimentPoint> points = exp::expand(spec);
-  if (points.empty()) {
+  const exp::SweepPlan plan = exp::plan_sweep(spec);
+  if (plan.points.empty()) {
     error = "sweep '" + spec.name + "' expands to zero points";
     return FtStatus::kBadSpec;
   }
 
-  // Expand the grid into content-addressed jobs, mirroring exp::run_sweep:
-  // one baseline job per (workload, seed, len) cell plus one job per point.
-  // Jobs are deduplicated by id — a variant whose machine equals the
-  // baseline collapses onto the cell job.
-  std::vector<JobRequest> jobs;        // unique, stable submission order
-  std::unordered_map<u64, u32> job_of;  // id -> index in `jobs`
-  const auto add_job = [&](const MachineConfig& config,
-                           const WorkloadProfile& profile, u64 n_records) {
+  // The plan's jobs as content-addressed requests, deduplicated by id (a
+  // variant whose machine equals the baseline collapses onto the cell's
+  // baseline job) and submitted in the plan's order.
+  std::vector<JobRequest> jobs;  // unique, stable submission order
+  std::unordered_set<u64> job_ids;
+  std::vector<u64> plan_job_id(plan.jobs.size());
+  for (std::size_t j = 0; j < plan.jobs.size(); ++j) {
+    const exp::ExperimentPoint& trace_of = plan.points[plan.jobs[j].point];
     JobRequest req = proto;
-    req.config = config;
-    req.profile = profile;
-    req.n_records = n_records;
-    const u64 id = job_id(req);
-    if (job_of.emplace(id, static_cast<u32>(jobs.size())).second)
-      jobs.push_back(std::move(req));
-    return id;
-  };
-
-  std::map<std::tuple<u32, u32, u32>, u64> cell_job;  // cell key -> job id
-  std::vector<u64> point_baseline_job(points.size());
-  std::vector<u64> point_job(points.size());
-  for (const exp::ExperimentPoint& p : points) {
-    const auto key = std::make_tuple(p.workload_idx, p.seed_idx, p.len_idx);
-    auto it = cell_job.find(key);
-    if (it == cell_job.end())
-      it = cell_job.emplace(key, add_job(spec.baseline, p.profile, p.n_records))
-               .first;
-    point_baseline_job[p.index] = it->second;
-    point_job[p.index] = add_job(p.variant.machine, p.profile, p.n_records);
+    req.config = plan.config(plan.jobs[j]);
+    req.profile = trace_of.profile;
+    req.n_records = trace_of.n_records;
+    plan_job_id[j] = job_id(req);
+    if (job_ids.insert(plan_job_id[j]).second) jobs.push_back(std::move(req));
   }
   stats.jobs = jobs.size();
 
@@ -244,8 +236,7 @@ FtStatus run_sweep_ft(const exp::SweepSpec& spec, const FtSweepOptions& opts,
 
   // --- layer 3: in-process fallback for whatever is still missing ---------
   std::vector<JobRequest> pending = missing_jobs();
-  unsigned threads = opts.threads;
-  if (threads == 0) threads = std::max(1u, std::thread::hardware_concurrency());
+  const unsigned threads = exp::resolve_threads(opts.threads);
   if (!pending.empty()) {
     if (remote_exhausted && !opts.allow_fallback) {
       error = "daemon unreachable after " + std::to_string(attempts_per_cycle) +
@@ -258,48 +249,30 @@ FtStatus run_sweep_ft(const exp::SweepSpec& spec, const FtSweepOptions& opts,
            " remaining job(s) in-process");
 
     sample::set_active_sample_spec(sample_spec);
-    const auto run_one = [&](const JobRequest& req) {
+    exp::parallel_for(pending.size(), threads, [&](std::size_t i) {
+      const JobRequest& req = pending[i];
       record(job_id(req), simulate_workload(req.config, req.profile, req.n_records),
              Source::kLocal);
-    };
-    if (threads <= 1) {
-      for (const JobRequest& req : pending) run_one(req);
-    } else {
-      exp::ThreadPool pool(threads);
-      std::mutex mu;
-      std::condition_variable cv;
-      std::size_t left = pending.size();
-      for (const JobRequest& req : pending)
-        pool.submit([&, &req = req] {
-          run_one(req);
-          std::lock_guard<std::mutex> lock(mu);
-          if (--left == 0) cv.notify_all();
-        });
-      std::unique_lock<std::mutex> lock(mu);
-      cv.wait(lock, [&left] { return left == 0; });
-    }
+    });
     sample::set_active_sample_spec(sample::SampleSpec{});
   }
 
   // --- assemble the SweepResult in grid order -----------------------------
   out.sweep = spec.name;
   out.threads_used = threads;
-  out.points.resize(points.size());
-  for (const exp::ExperimentPoint& p : points) {
-    const auto base_it = results.find(point_baseline_job[p.index]);
-    const auto sim_it = results.find(point_job[p.index]);
+  out.points.resize(plan.points.size());
+  for (const exp::ExperimentPoint& p : plan.points) {
+    const auto base_it = results.find(plan_job_id[plan.baseline_job[p.index]]);
+    const auto sim_it = results.find(plan_job_id[plan.variant_job[p.index]]);
     if (base_it == results.end() || sim_it == results.end()) {
       error = "internal: job results missing after execution";
       return FtStatus::kTransportFailed;
     }
-    exp::PointResult pr;
-    pr.point = p;
-    pr.baseline = base_it->second;
-    pr.sim = sim_it->second;
-    pr.power_baseline = analyze_power(pr.baseline, spec.baseline);
-    pr.power_sim = analyze_power(pr.sim, p.variant.machine);
-    out.points[p.index] = std::move(pr);
+    out.points[p.index] = exp::make_point_result(p, spec.baseline, base_it->second,
+                                                 sim_it->second);
   }
+  out.wall_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   return FtStatus::kOk;
 }
 

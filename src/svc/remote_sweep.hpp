@@ -1,20 +1,23 @@
 // hcsim — fault-tolerant sweep execution over the hcsimd job protocol.
 //
-// run_sweep_ft() expands a sweep into content-addressed jobs (job_id of
-// svc/protocol.hpp), then drains them through up to three layers, cheapest
-// first:
+// run_sweep_ft() takes the job list of exp::plan_sweep() — the same plan
+// exp::run_sweep() runs, in the same order — turns each job into a
+// content-addressed request (job_id of svc/protocol.hpp, deduplicated), then
+// drains them through up to three layers, cheapest first:
 //   1. the client journal (`<journal_dir>/client.journal`) — jobs a previous
 //      run of this process already completed cost nothing;
 //   2. the daemon, in batched kRunJobs frames, reconnecting with capped
 //      exponential backoff whenever the transport dies mid-batch (the daemon
 //      journals the remainder, so the re-submission is served from disk);
-//   3. an in-process fallback that computes only the still-missing jobs when
-//      the daemon stays unreachable (disable with allow_fallback = false).
+//   3. an in-process fallback that computes only the still-missing jobs on
+//      exp::parallel_for() when the daemon stays unreachable (disable with
+//      allow_fallback = false).
 // Every result, whatever layer produced it, is appended to the client
-// journal before use. Because each job is a pure function of its request,
-// the assembled SweepResult — and therefore exp::to_csv() — is byte-
-// identical to an uninterrupted in-process run no matter how many times the
-// daemon or the connection died along the way.
+// journal before use, and points are assembled by exp::make_point_result().
+// Because each job is a pure function of its request, the assembled
+// SweepResult — and therefore exp::to_csv() — is byte-identical to an
+// uninterrupted in-process run no matter how many times the daemon or the
+// connection died along the way.
 #pragma once
 
 #include <functional>
@@ -22,6 +25,7 @@
 
 #include "exp/runner.hpp"
 #include "exp/sweep.hpp"
+#include "sample/spec.hpp"
 #include "util/types.hpp"
 
 namespace hcsim::svc {
@@ -47,9 +51,10 @@ struct FtSweepOptions {
   /// When the daemon stays unreachable: true = compute the remainder
   /// in-process, false = fail with kTransportFailed.
   bool allow_fallback = true;
-  /// Sampling spec applied to every job (one sweep = one spec).
-  bool sampled = false;
-  u64 warmup = 0, measure = 0, period = 0, max_windows = 0;
+  /// Sampling spec applied to every job (one sweep = one spec); disabled
+  /// unless `measure` > 0. An enabled spec needs warmup > 0, because the wire
+  /// reads warmup 0 as the default warm-up (docs/PROTOCOL.md).
+  sample::SampleSpec sample;
   /// Progress / retry diagnostics (the CLI wires this to stderr). Null = quiet.
   std::function<void(const std::string&)> log;
 };
@@ -76,7 +81,9 @@ enum class FtStatus {
 };
 
 /// Execute `spec` fault-tolerantly. On kOk, `out` matches exp::run_sweep()
-/// of the same spec bit-for-bit.
+/// of the same spec with `opts.sample` active bit-for-bit (wall_seconds
+/// aside). kBadSpec (no job submitted) for an inconsistent
+/// sample spec or an enabled one with warmup 0.
 FtStatus run_sweep_ft(const exp::SweepSpec& spec, const FtSweepOptions& opts,
                       exp::SweepResult& out, FtSweepStats& stats,
                       std::string& error);

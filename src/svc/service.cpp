@@ -2,9 +2,7 @@
 
 #include <sys/stat.h>
 
-#include <algorithm>
 #include <cstdlib>
-#include <thread>
 
 #include "sample/spec.hpp"
 #include "sim/simulator.hpp"
@@ -13,8 +11,7 @@
 namespace hcsim::svc {
 
 SweepService::SweepService(unsigned threads, const std::string& journal_dir)
-    : pool_(threads == 0 ? std::max(1u, std::thread::hardware_concurrency())
-                         : threads) {
+    : pool_(exp::resolve_threads(threads)) {
   if (journal_dir.empty()) return;
   ::mkdir(journal_dir.c_str(), 0755);  // single level; EEXIST is fine
   if (!journal_.open(journal_dir + "/daemon.journal"))

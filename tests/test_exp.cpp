@@ -1,16 +1,19 @@
 // Tests for the experiment-orchestration subsystem (src/exp/): grid
-// expansion, the thread pool, parallel-vs-serial result determinism, and
-// the CSV/JSON report emitters.
+// expansion, the thread pool, the sweep plan, parallel-vs-serial result
+// determinism, and the CSV/JSON report emitters.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <mutex>
 #include <set>
+#include <thread>
 
 #include "exp/report.hpp"
 #include "exp/runner.hpp"
 #include "exp/sweep.hpp"
 #include "sim/simulator.hpp"
+#include "svc/protocol.hpp"
 
 namespace hcsim::exp {
 namespace {
@@ -111,6 +114,70 @@ TEST(ThreadPool, WaitIdleIsReusable) {
   EXPECT_EQ(count.load(), 3);
 }
 
+// --- parallel_for and the sweep plan ----------------------------------------
+
+TEST(Runner, ParallelForRunsEachIndexOnceOnAtMostNWorkers) {
+  for (unsigned threads : {1u, 64u}) {
+    std::mutex mu;
+    std::vector<int> calls(3, 0);
+    std::set<std::thread::id> workers;
+    parallel_for(calls.size(), threads, [&](std::size_t i) {
+      std::lock_guard<std::mutex> lock(mu);
+      ++calls[i];
+      workers.insert(std::this_thread::get_id());
+    });
+    EXPECT_EQ(calls, std::vector<int>(3, 1));
+    EXPECT_LE(workers.size(), calls.size());
+    if (threads == 1) {
+      EXPECT_EQ(*workers.begin(), std::this_thread::get_id());
+    }
+  }
+  parallel_for(0, 8, [](std::size_t) { FAIL() << "no index to run"; });
+}
+
+TEST(Runner, PlanIsCellMajor) {
+  SweepSpec spec = tiny_sweep();
+  spec.seeds = {11, 12};
+  const SweepPlan plan = plan_sweep(spec);
+  ASSERT_EQ(plan.points.size(), 8u);  // 2 apps x 2 variants x 2 seeds
+  const std::size_t cells = 2 * 2;    // (app, seed) pairs
+  EXPECT_EQ(plan.jobs.size(), cells + plan.points.size());
+  for (const ExperimentPoint& p : plan.points) {
+    const SweepJob& base = plan.jobs[plan.baseline_job[p.index]];
+    const SweepJob& var = plan.jobs[plan.variant_job[p.index]];
+    EXPECT_LT(plan.baseline_job[p.index], plan.variant_job[p.index]) << p.index;
+    EXPECT_TRUE(base.baseline);
+    EXPECT_FALSE(var.baseline);
+    EXPECT_EQ(var.point, p.index);
+    EXPECT_EQ(plan.points[base.point].profile.seed, p.profile.seed);
+    EXPECT_EQ(plan.points[base.point].workload_idx, p.workload_idx);
+  }
+
+  // The order hcsimd has always received from run_sweep_ft: walking the
+  // points in index order, a cell's baseline job on first sight, then the
+  // point's variant job, each job id kept at its first appearance.
+  const auto id_of = [](const MachineConfig& config, const ExperimentPoint& p) {
+    svc::JobRequest req;
+    req.config = config;
+    req.profile = p.profile;
+    req.n_records = p.n_records;
+    return svc::job_id(req);
+  };
+  std::vector<u64> submitted;
+  const auto submit = [&submitted](u64 id) {
+    if (std::find(submitted.begin(), submitted.end(), id) == submitted.end())
+      submitted.push_back(id);
+  };
+  for (const ExperimentPoint& p : expand(spec)) {
+    submit(id_of(spec.baseline, p));
+    submit(id_of(p.variant.machine, p));
+  }
+  std::vector<u64> planned;
+  for (const SweepJob& job : plan.jobs)
+    planned.push_back(id_of(plan.config(job), plan.points[job.point]));
+  EXPECT_EQ(planned, submitted);
+}
+
 // --- runner determinism -----------------------------------------------------
 
 void expect_same_results(const SweepResult& a, const SweepResult& b) {
@@ -145,15 +212,25 @@ TEST(Runner, ParallelMatchesSerialAcrossThreadCounts) {
   }
 }
 
+bool same_power(const PowerReport& a, const PowerReport& b) {
+  return a.energy == b.energy && a.delay == b.delay && a.edp == b.edp &&
+         a.ed2p == b.ed2p && a.frontend == b.frontend &&
+         a.wide_backend == b.wide_backend && a.helper_backend == b.helper_backend &&
+         a.memory == b.memory && a.clock == b.clock && a.copies == b.copies &&
+         a.predictors == b.predictors;
+}
+
 TEST(Runner, ProgressCallbackSeesEveryPointExactlyOnce) {
   const SweepSpec spec = tiny_sweep();
   RunOptions opts;
   opts.threads = 4;
   std::set<u32> seen;
+  std::vector<PointResult> reported;
   u64 last_total = 0, calls = 0;
   opts.on_point = [&](const PointResult& pr, u64 done, u64 total) {
     // Called under the runner's progress lock, so no synchronization needed.
     seen.insert(pr.point.index);
+    reported.push_back(pr);
     ++calls;
     EXPECT_EQ(done, calls);  // done counts monotonically
     last_total = total;
@@ -162,6 +239,15 @@ TEST(Runner, ProgressCallbackSeesEveryPointExactlyOnce) {
   EXPECT_EQ(calls, r.points.size());
   EXPECT_EQ(seen.size(), r.points.size());
   EXPECT_EQ(last_total, r.points.size());
+  // What a callback sees is the finished point, not a partial one.
+  ASSERT_EQ(reported.size(), r.points.size());
+  for (const PointResult& pr : reported) {
+    const PointResult& final_pr = r.points[pr.point.index];
+    EXPECT_TRUE(pr.sim == final_pr.sim) << pr.point.index;
+    EXPECT_TRUE(pr.baseline == final_pr.baseline) << pr.point.index;
+    EXPECT_TRUE(same_power(pr.power_sim, final_pr.power_sim)) << pr.point.index;
+    EXPECT_TRUE(same_power(pr.power_baseline, final_pr.power_baseline)) << pr.point.index;
+  }
 }
 
 TEST(Runner, BaselineSharedAcrossVariantsOfOneApp) {

@@ -310,6 +310,7 @@ TEST_F(FaultRecoveryTest, TornClientJournalTailStillResumesCleanly) {
       << error;
   const std::string csv_ref = exp::to_csv(first);
   EXPECT_EQ(stats.local_jobs, stats.jobs);
+  EXPECT_GT(first.wall_seconds, 0.0);
 
   // Tear the journal's tail as a crash-mid-append would.
   const std::string jpath = cdir + "/client.journal";

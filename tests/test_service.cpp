@@ -11,14 +11,17 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <optional>
 #include <string>
 #include <string_view>
 #include <thread>
 #include <vector>
 
+#include "exp/report.hpp"
 #include "exp/runner.hpp"
 #include "exp/sweep.hpp"
 #include "rv/kernels.hpp"
+#include "sample/spec.hpp"
 #include "sim/simulator.hpp"
 #include "svc/client.hpp"
 #include "svc/daemon.hpp"
@@ -251,16 +254,50 @@ TEST(SweepService, BadVersionAndBadSampleSpecAreErrors) {
   const auto spec = exp::find_sweep("smoke");
   ASSERT_TRUE(spec.has_value());
   FtSweepOptions opts;
-  opts.sampled = true;
-  opts.warmup = 5000;
-  opts.measure = 5000;
-  opts.period = 100;
+  opts.sample.warmup = 5000;
+  opts.sample.measure = 5000;
+  opts.sample.period = 100;
   exp::SweepResult result;
   FtSweepStats stats;
   error.clear();
   EXPECT_EQ(run_sweep_ft(*spec, opts, result, stats, error), FtStatus::kBadSpec);
   EXPECT_NE(error.find("period"), std::string::npos) << error;
   EXPECT_EQ(stats.jobs, 0u);
+}
+
+TEST(SweepService, SampledJournaledSweepMatchesInProcessByteForByte) {
+  std::optional<exp::SweepSpec> spec = exp::find_sweep("smoke");
+  ASSERT_TRUE(spec.has_value());
+  spec->trace_lens = {50000};
+  FtSweepOptions opts;
+  opts.sample.warmup = 1000;
+  opts.sample.measure = 4000;
+
+  sample::set_active_sample_spec(opts.sample);
+  const std::string local = exp::to_csv(exp::run_sweep(*spec, exp::RunOptions{}));
+  sample::set_active_sample_spec(sample::SampleSpec{});
+
+  // Journal only, no socket: every job runs on the local fallback, which
+  // resolves the spec through the wire rules first.
+  const std::string dir = test_socket_path("sampled") + ".d";
+  opts.journal_dir = dir;
+  exp::SweepResult result;
+  FtSweepStats stats;
+  std::string error;
+  ASSERT_EQ(run_sweep_ft(*spec, opts, result, stats, error), FtStatus::kOk) << error;
+  EXPECT_EQ(stats.local_jobs, stats.jobs);
+  EXPECT_GT(result.wall_seconds, 0.0);
+  EXPECT_EQ(exp::to_csv(result), local);
+  ::unlink((dir + "/client.journal").c_str());
+  ::rmdir(dir.c_str());
+
+  // The wire reads warmup 0 as the default warm-up, so an explicit zero is
+  // refused before anything is expanded or simulated.
+  opts.sample.warmup = 0;
+  EXPECT_EQ(run_sweep_ft(*spec, opts, result, stats, error), FtStatus::kBadSpec);
+  EXPECT_NE(error.find("warmup"), std::string::npos) << error;
+  EXPECT_EQ(stats.jobs, 0u);
+  EXPECT_NE(::access(dir.c_str(), F_OK), 0);
 }
 
 TEST(SweepService, MatchesInProcessSweepByteForByte) {

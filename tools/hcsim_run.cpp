@@ -18,6 +18,7 @@
 // the HCSIM_SAMPLE_* environment. --threads N slices the windows across a
 // thread pool (bit-identical to --threads 1). --compare-full additionally
 // runs the full simulation and prints the sampled-vs-full error per metric.
+// An inconsistent schedule (period < warmup + measure) exits 2.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -136,32 +137,19 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
-    if (arg == "--sampled") {
-      sampled = true;
-    } else if (arg == "--sample-warmup") {
-      spec.warmup = parse_u64("--sample-warmup", next(), 0);
-      sampled = true;
-    } else if (arg == "--sample-measure") {
-      spec.measure = parse_u64("--sample-measure", next(), 1);
-      sampled = true;
-    } else if (arg == "--sample-period") {
-      spec.period = parse_u64("--sample-period", next(), 0);
-      sampled = true;
-    } else if (arg == "--sample-windows") {
-      spec.max_windows = parse_u64("--sample-windows", next(), 0);
-      sampled = true;
-    } else if (arg == "--threads") {
+    const auto value = [&](u64 lo) { return parse_u64(arg.c_str(), next(), lo); };
+    if (arg == "--threads") {
       threads = static_cast<unsigned>(parse_u64("--threads", next(), 1, 4096));
     } else if (arg == "--compare-full") {
       compare_full = true;
       sampled = true;
     } else if (arg == "--verbose") {
       verbose = true;
-    } else if (arg.rfind("--", 0) == 0) {
+    } else if (arg.rfind("--", 0) != 0) {
+      positional.push_back(arg);
+    } else if (!sample::apply_sample_flag(arg, value, spec, sampled)) {
       std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
       return usage(argv[0]);
-    } else {
-      positional.push_back(arg);
     }
   }
   if (positional.empty() || positional.size() > 3) return usage(argv[0]);
@@ -172,9 +160,10 @@ int main(int argc, char** argv) {
   const u64 n = positional.size() > 2
                     ? parse_u64("n_uops", positional[2].c_str(), 1)
                     : default_trace_len();
-  if (sampled) {
-    if (spec.measure == 0) spec.measure = sample::kDefaultMeasure;
-    spec.validate();
+  if (sampled && spec.measure == 0) spec.measure = sample::kDefaultMeasure;
+  if (std::string error; !spec.check(error)) {
+    std::fprintf(stderr, "%s\n", error.c_str());
+    return 2;
   }
   // This tool drives sampling explicitly via simulate_sampled(); clear the
   // env-initialized active spec so simulate_workload always runs full.

@@ -40,7 +40,10 @@
 // --sample-* flag implies --sampled and overrides the HCSIM_SAMPLE_*
 // environment. --compare-full additionally runs the full (unsampled) sweep
 // and prints the sampled-vs-full error table; with --max-rel-err X the exit
-// status is 1 when any metric's worst relative error exceeds X.
+// status is 1 when any metric's worst relative error exceeds X. An
+// inconsistent schedule (period < warmup + measure) exits 2, and so does
+// --sample-warmup 0 with --connect/--journal-dir: the job protocol reads a
+// zero warm-up as the default one.
 #include <climits>
 #include <cstdio>
 #include <cstdlib>
@@ -188,9 +191,6 @@ int main(int argc, char** argv) {
   bool sampled = sample_spec.enabled();
   bool compare_full = false;
   double max_rel_err = 0.0;  // 0 = no bound enforced
-  bool have_len = false, have_seeds = false;
-  u64 len_override = 0;
-  std::vector<u64> seed_override;
   for (int i = flag_start; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&]() -> const char* {
@@ -200,34 +200,21 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    const auto value = [&](u64 lo) { return parse_u64(arg.c_str(), next(), lo); };
     if (arg == "--threads") {
       opts.threads = static_cast<unsigned>(parse_u64("--threads", next(), 0, kMaxThreads));
     } else if (arg == "--len") {
-      len_override = parse_u64("--len", next(), 1);
-      have_len = true;
+      const u64 len = parse_u64("--len", next(), 1);
+      if (spec) spec->trace_lens = {len};
     } else if (arg == "--seeds") {
-      seed_override = parse_u64_list("--seeds", next());
-      have_seeds = true;
+      const std::vector<u64> seeds = parse_u64_list("--seeds", next());
+      if (spec) spec->seeds = seeds;
     } else if (arg == "--csv") {
       csv_path = next();
     } else if (arg == "--json") {
       json_path = next();
     } else if (arg == "--quiet") {
       quiet = true;
-    } else if (arg == "--sampled") {
-      sampled = true;
-    } else if (arg == "--sample-warmup") {
-      sample_spec.warmup = parse_u64("--sample-warmup", next(), 0);
-      sampled = true;
-    } else if (arg == "--sample-measure") {
-      sample_spec.measure = parse_u64("--sample-measure", next(), 1);
-      sampled = true;
-    } else if (arg == "--sample-period") {
-      sample_spec.period = parse_u64("--sample-period", next(), 0);
-      sampled = true;
-    } else if (arg == "--sample-windows") {
-      sample_spec.max_windows = parse_u64("--sample-windows", next(), 0);
-      sampled = true;
     } else if (arg == "--compare-full") {
       compare_full = true;
     } else if (arg == "--max-rel-err") {
@@ -249,7 +236,7 @@ int main(int argc, char** argv) {
       shutdown_daemon = true;
     } else if (arg == "--list") {
       return print_sweep_list();
-    } else {
+    } else if (!sample::apply_sample_flag(arg, value, sample_spec, sampled)) {
       std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
       return usage(argv[0]);
     }
@@ -277,22 +264,35 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // Fault-tolerant mode: --connect and/or --journal-dir. The grid expands
-  // client-side into content-addressed jobs; svc::run_sweep_ft drains them
-  // through the client journal, the daemon (reconnecting with backoff), and
-  // the in-process fallback, then assembles the same SweepResult the
-  // in-process path would have produced.
-  if (!connect_path.empty() || !journal_dir.empty()) {
-    if (compare_full || max_rel_err > 0.0) {
-      std::fprintf(stderr,
-                   "--compare-full/--max-rel-err need a full in-process run "
-                   "and are not available with --connect/--journal-dir\n");
-      return 2;
-    }
-    if (sweep_name.empty()) return usage(argv[0]);
-    if (have_len) spec->trace_lens = {len_override};
-    if (have_seeds) spec->seeds = seed_override;
+  if (sweep_name.empty()) return usage(argv[0]);
 
+  const bool fault_tolerant = !connect_path.empty() || !journal_dir.empty();
+  if (fault_tolerant && (compare_full || max_rel_err > 0.0)) {
+    std::fprintf(stderr,
+                 "--compare-full/--max-rel-err need a full in-process run "
+                 "and are not available with --connect/--journal-dir\n");
+    return 2;
+  }
+
+  // One sample spec for both modes, resolved and checked once.
+  if (max_rel_err > 0.0) compare_full = true;  // the bound needs the reference run
+  if (compare_full) sampled = true;
+  if (!sampled) {
+    sample_spec = sample::SampleSpec{};
+  } else if (sample_spec.measure == 0) {
+    sample_spec.measure = sample::kDefaultMeasure;
+  }
+  std::string error;
+  if (!sample_spec.check(error)) {
+    std::fprintf(stderr, "%s\n", error.c_str());
+    return 2;
+  }
+
+  SweepResult result, full_result;
+  if (fault_tolerant) {
+    // The plan's jobs drain through the client journal, the daemon
+    // (reconnecting with backoff) and the in-process fallback, then
+    // assemble into the SweepResult the in-process path would have produced.
     svc::FtSweepOptions ft;
     ft.socket_path = connect_path;
     ft.journal_dir = journal_dir;
@@ -301,20 +301,12 @@ int main(int argc, char** argv) {
     ft.backoff_base_ms = retry_backoff_ms;
     ft.timeout_ms = timeout_ms != 0 ? static_cast<int>(timeout_ms) : -1;
     ft.allow_fallback = !no_fallback;
-    ft.sampled = sampled;
-    if (sampled) {
-      ft.warmup = sample_spec.warmup;
-      ft.measure = sample_spec.measure;
-      ft.period = sample_spec.period;
-      ft.max_windows = sample_spec.max_windows;
-    }
+    ft.sample = sample_spec;
     ft.log = [](const std::string& msg) {
       std::fprintf(stderr, "%s\n", msg.c_str());
     };
 
-    SweepResult result;
     svc::FtSweepStats stats;
-    std::string error;
     const svc::FtStatus status = run_sweep_ft(*spec, ft, result, stats, error);
     std::fprintf(stderr,
                  "fault tolerance: %llu job(s): %llu from client journal, "
@@ -333,56 +325,31 @@ int main(int argc, char** argv) {
                    error.c_str());
       return status == svc::FtStatus::kTransportFailed ? 3 : 2;
     }
-    const std::string via =
-        connect_path.empty() ? "" : " (via " + connect_path + ")";
-    std::printf("sweep %s: %zu points, %u thread%s%s\n", result.sweep.c_str(),
-                result.points.size(), result.threads_used,
-                result.threads_used == 1 ? "" : "s", via.c_str());
-    std::printf("%s\n", render_summary(result).c_str());
-    if (!csv_path.empty() && !write_file(csv_path, to_csv(result))) {
-      std::fprintf(stderr, "failed to write %s\n", csv_path.c_str());
-      return 1;
+  } else {
+    if (!quiet) {
+      opts.on_point = [](const PointResult& pr, u64 done, u64 total) {
+        std::fprintf(stderr, "[%3llu/%3llu] %-8s %-24s speedup %.3f\n",
+                     static_cast<unsigned long long>(done),
+                     static_cast<unsigned long long>(total),
+                     pr.point.profile.name.c_str(), pr.point.variant.name.c_str(),
+                     pr.speedup());
+      };
     }
-    if (!json_path.empty() && !write_file(json_path, to_json(result))) {
-      std::fprintf(stderr, "failed to write %s\n", json_path.c_str());
-      return 1;
+    // The full reference sweep runs first, with sampling forced off; the
+    // main (possibly sampled) sweep then installs the active spec for its
+    // workers.
+    if (compare_full) {
+      sample::set_active_sample_spec(sample::SampleSpec{});
+      full_result = run_sweep(*spec, opts);
     }
-    return 0;
-  }
-  if (sweep_name.empty()) return usage(argv[0]);
-  if (have_len) spec->trace_lens = {len_override};
-  if (have_seeds) spec->seeds = seed_override;
-
-  if (!quiet) {
-    opts.on_point = [](const PointResult& pr, u64 done, u64 total) {
-      std::fprintf(stderr, "[%3llu/%3llu] %-8s %-24s speedup %.3f\n",
-                   static_cast<unsigned long long>(done),
-                   static_cast<unsigned long long>(total),
-                   pr.point.profile.name.c_str(), pr.point.variant.name.c_str(),
-                   pr.speedup());
-    };
+    sample::set_active_sample_spec(sample_spec);
+    result = run_sweep(*spec, opts);
   }
 
-  if (max_rel_err > 0.0) compare_full = true;  // the bound needs the reference run
-  if (compare_full) sampled = true;
-  if (sampled) {
-    if (sample_spec.measure == 0) sample_spec.measure = sample::kDefaultMeasure;
-    sample_spec.validate();
-  }
-
-  // The full reference sweep runs first, with sampling forced off; the main
-  // (possibly sampled) sweep then installs the active spec for its workers.
-  SweepResult full_result;
-  if (compare_full) {
-    sample::set_active_sample_spec(sample::SampleSpec{});
-    full_result = run_sweep(*spec, opts);
-  }
-  sample::set_active_sample_spec(sampled ? sample_spec : sample::SampleSpec{});
-  const SweepResult result = run_sweep(*spec, opts);
-
-  std::printf("sweep %s: %zu points, %u thread%s, %.2fs\n", result.sweep.c_str(),
+  const std::string via = connect_path.empty() ? "" : " (via " + connect_path + ")";
+  std::printf("sweep %s: %zu points, %u thread%s%s, %.2fs\n", result.sweep.c_str(),
               result.points.size(), result.threads_used,
-              result.threads_used == 1 ? "" : "s", result.wall_seconds);
+              result.threads_used == 1 ? "" : "s", via.c_str(), result.wall_seconds);
   if (sampled) std::printf("sampling: %s\n", sample_spec.describe().c_str());
   std::printf("%s\n", render_summary(result).c_str());
 
