@@ -42,13 +42,15 @@ inline const std::vector<std::string>& spec_names() {
   return kNames;
 }
 
-/// Thread count for sweep-driven benches: HCSIM_SWEEP_THREADS, default all
-/// hardware threads (results are thread-count independent; see exp/runner).
+/// Options for sweep-driven benches: HCSIM_SWEEP_THREADS threads, default
+/// all hardware threads (results are thread-count independent; see
+/// exp/runner), and the HCSIM_SAMPLE_* sampling spec.
 inline exp::RunOptions sweep_options() {
   exp::RunOptions opts;
   const unsigned long long threads = env_u64("HCSIM_SWEEP_THREADS", 0);
   HCSIM_CHECK(threads <= 4096, "HCSIM_SWEEP_THREADS out of range");
   opts.threads = static_cast<unsigned>(threads);
+  opts.sample = sample::spec_from_env();
   return opts;
 }
 

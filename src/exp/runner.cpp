@@ -1,67 +1,18 @@
 #include "exp/runner.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <exception>
 #include <map>
+#include <mutex>
+#include <thread>
 #include <tuple>
 
 #include "core/pipeline.hpp"
 #include "sim/simulator.hpp"
-#include "util/log.hpp"
 
 namespace hcsim::exp {
-
-// --- ThreadPool -------------------------------------------------------------
-
-ThreadPool::ThreadPool(unsigned n_threads) {
-  HCSIM_CHECK(n_threads > 0, "ThreadPool needs at least one worker");
-  workers_.reserve(n_threads);
-  for (unsigned i = 0; i < n_threads; ++i)
-    workers_.emplace_back([this] { worker_loop(); });
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stopping_ = true;
-  }
-  work_cv_.notify_all();
-  for (std::thread& t : workers_) t.join();
-}
-
-void ThreadPool::submit(std::function<void()> job) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    HCSIM_CHECK(!stopping_, "submit on a stopping ThreadPool");
-    queue_.push(std::move(job));
-  }
-  work_cv_.notify_one();
-}
-
-void ThreadPool::wait_idle() {
-  std::unique_lock<std::mutex> lock(mu_);
-  idle_cv_.wait(lock, [this] { return queue_.empty() && in_flight_ == 0; });
-}
-
-void ThreadPool::worker_loop() {
-  for (;;) {
-    std::function<void()> job;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stopping_ and drained
-      job = std::move(queue_.front());
-      queue_.pop();
-      ++in_flight_;
-    }
-    job();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      --in_flight_;
-      if (queue_.empty() && in_flight_ == 0) idle_cv_.notify_all();
-    }
-  }
-}
 
 // --- the sweep plan and its runner -----------------------------------------
 
@@ -71,10 +22,29 @@ void parallel_for(std::size_t n, unsigned threads,
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
   }
-  if (n == 0) return;
-  ThreadPool pool(static_cast<unsigned>(std::min<std::size_t>(threads, n)));
-  for (std::size_t i = 0; i < n; ++i) pool.submit([&fn, i] { fn(i); });
-  pool.wait_idle();
+  // The first exception a call throws stops the hand-out of indices and is
+  // rethrown once every worker has joined, as the inline loop would throw it.
+  std::atomic<std::size_t> next{0};
+  std::mutex mu;
+  std::exception_ptr error;
+  const auto work = [&] {
+    for (std::size_t i = next++; i < n; i = next++) {
+      try {
+        fn(i);
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(mu);
+        if (!error) error = std::current_exception();
+        next = n;
+      }
+    }
+  };
+  {
+    const std::size_t n_workers = std::min<std::size_t>(threads, n);
+    std::vector<std::jthread> workers;  // joined on scope exit, throw or not
+    workers.reserve(n_workers);
+    while (workers.size() < n_workers) workers.emplace_back(work);
+  }
+  if (error) std::rethrow_exception(error);
 }
 
 unsigned resolve_threads(unsigned requested) {
@@ -134,7 +104,7 @@ SweepResult run_sweep(const SweepSpec& spec, const RunOptions& opts) {
   parallel_for(plan.jobs.size(), result.threads_used, [&](std::size_t j) {
     const ExperimentPoint& trace_of = plan.points[plan.jobs[j].point];
     sims[j] = simulate_workload(plan.config(plan.jobs[j]), trace_of.profile,
-                                trace_of.n_records);
+                                trace_of.n_records, opts.sample);
     std::unique_lock<std::mutex> lock(mu);
     for (u32 i : waiting[j]) {
       if (--jobs_left[i] != 0) continue;

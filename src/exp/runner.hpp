@@ -10,43 +10,15 @@
 // inline.
 #pragma once
 
-#include <condition_variable>
 #include <functional>
-#include <mutex>
-#include <queue>
-#include <thread>
 #include <vector>
 
 #include "core/sim_result.hpp"
 #include "exp/sweep.hpp"
 #include "power/power_model.hpp"
+#include "sample/spec.hpp"
 
 namespace hcsim::exp {
-
-/// Fixed-size worker pool. Jobs may be submitted from any thread; wait_idle()
-/// blocks until every submitted job has finished.
-class ThreadPool {
- public:
-  explicit ThreadPool(unsigned n_threads);
-  ~ThreadPool();
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  void submit(std::function<void()> job);
-  void wait_idle();
-  unsigned size() const { return static_cast<unsigned>(workers_.size()); }
-
- private:
-  void worker_loop();
-
-  std::vector<std::thread> workers_;
-  std::queue<std::function<void()>> queue_;
-  std::mutex mu_;
-  std::condition_variable work_cv_;   // workers wait for jobs
-  std::condition_variable idle_cv_;   // wait_idle() waits for drain
-  unsigned in_flight_ = 0;
-  bool stopping_ = false;
-};
 
 /// A finished experiment point: the variant run, the shared baseline run of
 /// the same trace, and the power reports of both.
@@ -76,8 +48,11 @@ struct PointResult {
 };
 
 struct RunOptions {
-  /// 0 = std::thread::hardware_concurrency(); 1 = serial (no pool).
+  /// 0 = std::thread::hardware_concurrency(); 1 = serial (inline).
   unsigned threads = 1;
+  /// Sampling spec every job runs under; the default (disabled) spec runs
+  /// every job in full.
+  sample::SampleSpec sample;
   /// Progress callback, invoked once per finished point (completion order,
   /// serialized — never concurrently). `done` counts finished points.
   std::function<void(const PointResult&, u64 done, u64 total)> on_point;
@@ -93,8 +68,9 @@ struct SweepResult {
 };
 
 /// Run fn(0) .. fn(n-1) and return when every call has finished: inline in
-/// index order when threads <= 1, else on a private pool of min(threads, n)
-/// workers that take indices in order. Calls must be independent.
+/// index order when threads <= 1, else on min(threads, n) std::threads that
+/// take indices in order from one shared counter. Calls must be independent.
+/// The one way src/ runs work in parallel.
 void parallel_for(std::size_t n, unsigned threads,
                   const std::function<void(std::size_t)>& fn);
 

@@ -4,7 +4,7 @@
 // configurations, sometimes x seeds or trace lengths. A SweepSpec describes
 // that grid declaratively; expand() turns it into a flat, deterministically
 // ordered list of ExperimentPoints that the runner (runner.hpp) executes —
-// serially or on a thread pool — with identical results either way.
+// serially or in parallel — with identical results either way.
 #pragma once
 
 #include <optional>

@@ -65,19 +65,7 @@ bool apply_sample_flag(const std::string& flag, const std::function<u64(u64)>& v
   return true;
 }
 
-namespace {
-SampleSpec& active_spec_storage() {
-  static SampleSpec spec = spec_from_env();
-  return spec;
-}
-}  // namespace
-
-const SampleSpec& active_sample_spec() { return active_spec_storage(); }
-
-void set_active_sample_spec(const SampleSpec& spec) {
-  spec.validate();
-  active_spec_storage() = spec;
-}
+void set_active_sample_spec(const SampleSpec& spec) { spec.validate(); }
 
 std::vector<WindowRange> plan_windows(const SampleSpec& spec, u64 trace_len) {
   spec.validate();

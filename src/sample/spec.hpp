@@ -7,11 +7,13 @@
 // (predictors/caches/schedulers train, counters are discarded), measure the
 // next M µops, and skip the rest of the period entirely. A SampleSpec
 // describes that schedule; plan_windows() turns it into concrete record
-// ranges over one trace.
+// ranges over one trace. A spec is always an explicit argument of the run
+// it shapes (simulate_workload, exp::RunOptions::sample, a JobRequest);
+// only front-ends read the HCSIM_SAMPLE_* environment, via spec_from_env().
 //
 // Window checkpoint contract (see core/pipeline.hpp): every window is
 // re-simulated from a cold Pipeline, so a window is a pure function of
-// (machine config, program, record range). Serial and thread-pool-sliced
+// (machine config, program, record range). Serial and parallel_for-sliced
 // windowed runs are therefore bit-identical by construction.
 #pragma once
 
@@ -72,11 +74,9 @@ inline constexpr u64 kDefaultMeasure = 80000;
 bool apply_sample_flag(const std::string& flag, const std::function<u64(u64 lo)>& value,
                        SampleSpec& spec, bool& sampled);
 
-/// Process-wide active spec consulted by simulate_workload(): initialized
-/// from spec_from_env(), overridable by CLI front-ends. Set it before
-/// spawning sweep workers — reads are unsynchronized by design (the value
-/// is fixed for the lifetime of a run).
-const SampleSpec& active_sample_spec();
+/// Validates `spec` and does nothing else: nothing reads it, since every
+/// simulation takes its spec as an argument. Kept for perfbench; delete with
+/// the next change allowed to edit perfbench/.
 void set_active_sample_spec(const SampleSpec& spec);
 
 /// One window of a planned schedule: records [begin, begin+warmup) warm the

@@ -36,12 +36,10 @@ SimResult simulate_streamed(const MachineConfig& cfg, const WorkloadProfile& pro
 }
 
 SimResult simulate_workload(const MachineConfig& cfg, const WorkloadProfile& profile,
-                            u64 n_records) {
+                            u64 n_records, const sample::SampleSpec& spec) {
   if (n_records == 0) n_records = default_trace_len();
-  // Sampling hook: with an active spec every workload simulation — sweeps,
-  // figure benches, CLIs — becomes a windowed run. Windows stay serial here
-  // because callers (the sweep runner) already parallelize across points.
-  const sample::SampleSpec& spec = sample::active_sample_spec();
+  // Windows stay serial here because callers (the sweep runner, the daemon)
+  // already parallelize across jobs.
   if (spec.enabled())
     return sample::simulate_sampled(cfg, profile, n_records, spec).total;
   return simulate(cfg, *open_trace_cursor(profile, n_records));
@@ -70,32 +68,44 @@ const Trace& cached_trace(const WorkloadProfile& profile, u64 n_records) {
   return entry->trace;
 }
 
-AppRun run_app(const WorkloadProfile& profile, const SteeringConfig& steer,
-               u64 n_records) {
+namespace {
+
+AppRun run_app_under(const WorkloadProfile& profile, const SteeringConfig& steer,
+                     u64 n_records, const sample::SampleSpec& spec) {
   if (n_records == 0) n_records = default_trace_len();
   AppRun run;
   run.app = profile.name;
-  run.baseline = simulate_workload(monolithic_baseline(), profile, n_records);
-  run.helper = simulate_workload(helper_machine(steer), profile, n_records);
+  run.baseline = simulate_workload(monolithic_baseline(), profile, n_records, spec);
+  run.helper = simulate_workload(helper_machine(steer), profile, n_records, spec);
   return run;
+}
+
+}  // namespace
+
+AppRun run_app(const WorkloadProfile& profile, const SteeringConfig& steer,
+               u64 n_records) {
+  return run_app_under(profile, steer, n_records, sample::spec_from_env());
 }
 
 MultiRun run_app_configs(const WorkloadProfile& profile,
                          std::span<const SteeringConfig> configs, u64 n_records) {
   if (n_records == 0) n_records = default_trace_len();
+  const sample::SampleSpec spec = sample::spec_from_env();
   MultiRun run;
   run.app = profile.name;
-  run.baseline = simulate_workload(monolithic_baseline(), profile, n_records);
+  run.baseline = simulate_workload(monolithic_baseline(), profile, n_records, spec);
   run.configs.reserve(configs.size());
   for (const SteeringConfig& sc : configs)
-    run.configs.push_back(simulate_workload(helper_machine(sc), profile, n_records));
+    run.configs.push_back(
+        simulate_workload(helper_machine(sc), profile, n_records, spec));
   return run;
 }
 
 std::vector<AppRun> run_spec_suite(const SteeringConfig& steer, u64 n_records) {
+  const sample::SampleSpec spec = sample::spec_from_env();
   std::vector<AppRun> runs;
   for (const WorkloadProfile& p : spec_int_2000_profiles())
-    runs.push_back(run_app(p, steer, n_records));
+    runs.push_back(run_app_under(p, steer, n_records, spec));
   return runs;
 }
 

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "core/pipeline.hpp"
+#include "sample/spec.hpp"
 #include "wload/executor.hpp"
 #include "wload/profile.hpp"
 
@@ -48,17 +49,18 @@ SimResult simulate_streamed(const MachineConfig& cfg, const WorkloadProfile& pro
 
 /// Simulate one workload through open_trace_cursor(): cached in-memory
 /// trace at or below stream_threshold() (shared across experiments),
-/// streaming above it. When the process-wide sampling spec
-/// (sample::active_sample_spec(), HCSIM_SAMPLE_* environment variables or a
-/// CLI front-end) is enabled, the run goes through the src/sample windowed
-/// simulator instead and the returned result is the spliced measured-window
-/// aggregate — which is how every named sweep runs sampled without new
-/// plumbing.
+/// streaming above it. An enabled `spec` routes the run through the
+/// src/sample windowed simulator instead and returns the spliced
+/// measured-window aggregate; the default (disabled) spec is a full run.
+/// A pure function of its arguments.
 SimResult simulate_workload(const MachineConfig& cfg, const WorkloadProfile& profile,
-                            u64 n_records = 0);
+                            u64 n_records = 0, const sample::SampleSpec& spec = {});
 
 /// One application simulated on the monolithic baseline and on a helper
-/// cluster configuration.
+/// cluster configuration. This facade and its siblings below serve the
+/// figure benches, examples and tests: each call reads the HCSIM_SAMPLE_*
+/// environment once (sample::spec_from_env()) and runs every simulation
+/// under that spec.
 struct AppRun {
   std::string app;
   SimResult baseline;

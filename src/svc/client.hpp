@@ -43,7 +43,7 @@ class Client {
   /// How a run_jobs batch ended. kTransport means the connection is dead
   /// (reconnect and re-submit — results already delivered stay delivered);
   /// kRemoteError is a daemon-side verdict retrying cannot change (bad
-  /// version, mixed sample specs).
+  /// version, zero n_records, inconsistent sample spec).
   enum class BatchStatus { kDone, kTransport, kRemoteError };
 
   /// Submit a kRunJobs batch and stream the kJobResult frames into

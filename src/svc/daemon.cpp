@@ -38,8 +38,9 @@ class Daemon {
     fault::ScopedDomain domain("daemon");
     const int listen_fd = open_socket();
     if (listen_fd < 0) return 1;
-    std::fprintf(stderr, "hcsimd: listening on %s (%u worker threads)\n",
-                 opts_.socket_path.c_str(), service_.pool().size());
+    std::fprintf(stderr,
+                 "hcsimd: listening on %s (up to %u worker threads per batch)\n",
+                 opts_.socket_path.c_str(), service_.threads());
     if (!opts_.journal_dir.empty()) {
       if (!service_.journal_error().empty())
         std::fprintf(stderr, "hcsimd: WARNING: journal disabled: %s\n",
@@ -187,9 +188,8 @@ class Daemon {
     const bool ok = service_.run_jobs(
         reqs,
         [fd](const JobResponse& resp) {
-          // Called from pool workers (serialized): re-establish the daemon
-          // fault domain for the result write.
-          fault::ScopedDomain domain("daemon");
+          // Called from batch workers (serialized), in the daemon's fault
+          // domain (run_jobs carries it over).
           std::vector<u8> payload;
           encode(payload, resp);
           return write_frame(fd, kJobResult, payload);

@@ -20,7 +20,7 @@ namespace hcsim::svc {
 
 struct DaemonOptions {
   std::string socket_path;
-  /// Worker threads for the shared sweep pool; 0 = hardware concurrency.
+  /// Worker threads per job batch; 0 = hardware concurrency.
   unsigned threads = 0;
   /// Exit after this long with nothing to do; 0 = run until kShutdown or a
   /// signal.

@@ -18,7 +18,7 @@
 // result, byte-exact.
 //
 // Thread safety: lookup/append/counters take an internal mutex — the
-// service appends from concurrent pool workers.
+// service appends from concurrent batch workers.
 #pragma once
 
 #include <map>

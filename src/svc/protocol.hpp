@@ -109,8 +109,8 @@ struct JobRequest {
   MachineConfig config;
   WorkloadProfile profile;
   u64 n_records = 0;  // resolved trace length (never 0 on the wire)
-  // Sampling window spec; all jobs of one kRunJobs batch must agree (the
-  // active spec is process-global on the daemon).
+  // Sampling window spec of this job alone; one kRunJobs batch may mix
+  // specs (resolve_sample_spec reads these five fields).
   bool sampled = false;
   u64 warmup = 0;
   u64 measure = 0;

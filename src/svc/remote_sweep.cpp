@@ -248,13 +248,12 @@ FtStatus run_sweep_ft(const exp::SweepSpec& spec, const FtSweepOptions& opts,
       logf("daemon unreachable; computing " + std::to_string(pending.size()) +
            " remaining job(s) in-process");
 
-    sample::set_active_sample_spec(sample_spec);
     exp::parallel_for(pending.size(), threads, [&](std::size_t i) {
       const JobRequest& req = pending[i];
-      record(job_id(req), simulate_workload(req.config, req.profile, req.n_records),
+      record(job_id(req),
+             simulate_workload(req.config, req.profile, req.n_records, sample_spec),
              Source::kLocal);
     });
-    sample::set_active_sample_spec(sample::SampleSpec{});
   }
 
   // --- assemble the SweepResult in grid order -----------------------------

@@ -51,9 +51,10 @@ struct FtSweepOptions {
   /// When the daemon stays unreachable: true = compute the remainder
   /// in-process, false = fail with kTransportFailed.
   bool allow_fallback = true;
-  /// Sampling spec applied to every job (one sweep = one spec); disabled
-  /// unless `measure` > 0. An enabled spec needs warmup > 0, because the wire
-  /// reads warmup 0 as the default warm-up (docs/PROTOCOL.md).
+  /// Sampling spec carried by every job request of this sweep and used by
+  /// the local fallback; disabled unless `measure` > 0. An enabled spec
+  /// needs warmup > 0, because the wire reads warmup 0 as the default
+  /// warm-up (docs/PROTOCOL.md).
   sample::SampleSpec sample;
   /// Progress / retry diagnostics (the CLI wires this to stderr). Null = quiet.
   std::function<void(const std::string&)> log;
@@ -81,8 +82,8 @@ enum class FtStatus {
 };
 
 /// Execute `spec` fault-tolerantly. On kOk, `out` matches exp::run_sweep()
-/// of the same spec with `opts.sample` active bit-for-bit (wall_seconds
-/// aside). kBadSpec (no job submitted) for an inconsistent
+/// of the same spec with RunOptions::sample = `opts.sample` bit-for-bit
+/// (wall_seconds aside). kBadSpec (no job submitted) for an inconsistent
 /// sample spec or an enabled one with warmup 0.
 FtStatus run_sweep_ft(const exp::SweepSpec& spec, const FtSweepOptions& opts,
                       exp::SweepResult& out, FtSweepStats& stats,

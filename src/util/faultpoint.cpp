@@ -111,6 +111,8 @@ void reload_from_env() {
   set_schedule(env != nullptr ? env : "");
 }
 
+const char* current_domain() { return t_domain; }
+
 ScopedDomain::ScopedDomain(const char* domain) : prev_(t_domain) {
   t_domain = domain;
 }

@@ -54,6 +54,10 @@ void set_schedule(const std::string& schedule);
 /// start; tests drive set_schedule directly.
 void reload_from_env();
 
+/// This thread's domain (nullptr outside every ScopedDomain), so work handed
+/// to another thread can run in its caller's domain.
+const char* current_domain();
+
 /// Tag every fire() on this thread with a domain for the current scope.
 class ScopedDomain {
  public:

@@ -28,4 +28,23 @@ std::errc parse_u64(const char* s, u64& out, u64 lo, u64 hi) {
   return std::errc{};
 }
 
+u64 parse_flag_u64(const char* flag, const char* s, u64 lo, u64 hi) {
+  u64 v = 0;
+  const std::errc e = parse_u64(s, v, lo, hi);
+  if (e == std::errc{}) return v;
+  // v >= hi: above `hi`, or past 2^64-1 (v then reads 2^64-1).
+  if (e == std::errc::result_out_of_range && v >= hi) {
+    std::fprintf(stderr, "%s: %s exceeds the limit of %llu\n", flag, s,
+                 static_cast<unsigned long long>(hi));
+  } else if (hi == std::numeric_limits<u64>::max()) {
+    std::fprintf(stderr, "%s: bad value '%s' (integer >= %llu required)\n", flag, s,
+                 static_cast<unsigned long long>(lo));
+  } else {
+    std::fprintf(stderr, "%s: bad value '%s' (integer from %llu to %llu required)\n",
+                 flag, s, static_cast<unsigned long long>(lo),
+                 static_cast<unsigned long long>(hi));
+  }
+  std::exit(2);
+}
+
 }  // namespace hcsim

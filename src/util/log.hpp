@@ -42,6 +42,12 @@ bool log_warn_once(const std::string& key, const std::string& msg);
 std::errc parse_u64(const char* s, u64& out, u64 lo = 0,
                     u64 hi = std::numeric_limits<u64>::max());
 
+/// The one CLI integer-flag parser: parse_u64(s) in [lo, hi], or exit(2)
+/// with "FLAG: S exceeds the limit of HI" for a value above `hi` and
+/// "FLAG: bad value 'S' (...)" naming the accepted range for anything else.
+u64 parse_flag_u64(const char* flag, const char* s, u64 lo = 0,
+                   u64 hi = std::numeric_limits<u64>::max());
+
 /// Read an environment-variable override (used by benches and the sampling
 /// layer to scale runs without recompiling). Malformed values are fatal:
 /// an override that silently truncates ("100k" -> 100, "1e8" -> 1) or wraps

@@ -1,5 +1,5 @@
 // Tests for the experiment-orchestration subsystem (src/exp/): grid
-// expansion, the thread pool, the sweep plan, parallel-vs-serial result
+// expansion, parallel_for, the sweep plan, parallel-vs-serial result
 // determinism, and the CSV/JSON report emitters.
 #include <gtest/gtest.h>
 
@@ -7,11 +7,13 @@
 #include <atomic>
 #include <mutex>
 #include <set>
+#include <stdexcept>
 #include <thread>
 
 #include "exp/report.hpp"
 #include "exp/runner.hpp"
 #include "exp/sweep.hpp"
+#include "sample/windowed.hpp"
 #include "sim/simulator.hpp"
 #include "svc/protocol.hpp"
 
@@ -90,30 +92,6 @@ TEST(Sweep, BaselineVariantIsMonolithic) {
   EXPECT_EQ(h.name, "8_8_8");
 }
 
-// --- ThreadPool -------------------------------------------------------------
-
-TEST(ThreadPool, RunsEverySubmittedJob) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.size(), 4u);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) pool.submit([&count] { ++count; });
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPool, WaitIdleIsReusable) {
-  ThreadPool pool(2);
-  std::atomic<int> count{0};
-  pool.wait_idle();  // no jobs: returns immediately
-  pool.submit([&count] { ++count; });
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 1);
-  pool.submit([&count] { ++count; });
-  pool.submit([&count] { ++count; });
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 3);
-}
-
 // --- parallel_for and the sweep plan ----------------------------------------
 
 TEST(Runner, ParallelForRunsEachIndexOnceOnAtMostNWorkers) {
@@ -133,6 +111,22 @@ TEST(Runner, ParallelForRunsEachIndexOnceOnAtMostNWorkers) {
     }
   }
   parallel_for(0, 8, [](std::size_t) { FAIL() << "no index to run"; });
+}
+
+TEST(Runner, ParallelForRethrowsAWorkerExceptionAfterJoining) {
+  for (unsigned threads : {1u, 4u}) {
+    std::atomic<int> running{0}, finished{0};
+    EXPECT_THROW(parallel_for(64, threads,
+                              [&](std::size_t i) {
+                                ++running;
+                                if (i == 5) throw std::runtime_error("job 5");
+                                ++finished;
+                                --running;
+                              }),
+                 std::runtime_error);
+    EXPECT_EQ(running.load(), 1);  // only the throwing call is unfinished
+    EXPECT_LT(finished.load(), 64);
+  }
 }
 
 TEST(Runner, PlanIsCellMajor) {
@@ -218,6 +212,39 @@ bool same_power(const PowerReport& a, const PowerReport& b) {
          a.wide_backend == b.wide_backend && a.helper_backend == b.helper_backend &&
          a.memory == b.memory && a.clock == b.clock && a.copies == b.copies &&
          a.predictors == b.predictors;
+}
+
+// The sample spec is an argument of the run, not process state: a sampled
+// sweep equals its windowed jobs, and the next default sweep runs full.
+TEST(Runner, SampleSpecIsPerRunAndLeavesNoState) {
+  SweepSpec spec = tiny_sweep();
+  spec.trace_lens = {20000};
+  sample::SampleSpec sampled;
+  sampled.warmup = 1000;
+  sampled.measure = 2000;
+  RunOptions opts;
+  opts.threads = 2;
+  opts.sample = sampled;
+  const SweepResult windowed = run_sweep(spec, opts);
+  const SweepResult full = run_sweep(spec, RunOptions{});
+  ASSERT_EQ(windowed.points.size(), 4u);
+  ASSERT_EQ(full.points.size(), 4u);
+  for (const ExperimentPoint& p : expand(spec)) {
+    const PointResult& w = windowed.points[p.index];
+    const PointResult& f = full.points[p.index];
+    EXPECT_TRUE(w.sim == sample::simulate_sampled(p.variant.machine, p.profile,
+                                                  p.n_records, sampled)
+                             .total)
+        << p.index;
+    EXPECT_TRUE(w.baseline ==
+                sample::simulate_sampled(spec.baseline, p.profile, p.n_records, sampled)
+                    .total)
+        << p.index;
+    const Trace& trace = cached_trace(p.profile, p.n_records);
+    EXPECT_TRUE(f.sim == simulate(p.variant.machine, trace)) << p.index;
+    EXPECT_TRUE(f.baseline == simulate(spec.baseline, trace)) << p.index;
+    EXPECT_FALSE(w.sim == f.sim) << p.index;  // sampling changed the run
+  }
 }
 
 TEST(Runner, ProgressCallbackSeesEveryPointExactlyOnce) {

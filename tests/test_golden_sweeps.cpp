@@ -3,7 +3,7 @@
 // bit-identical to the pre-refactor simulator. The embedded CSVs were
 // captured from the seed implementation (std::map counters + std::set
 // ledgers); the fig06/fig12/rv named sweeps must reproduce them
-// byte-for-byte, serially and on the thread pool. The cumulative golden was
+// byte-for-byte, serially and in parallel. The cumulative golden was
 // captured later from the separate-structure scheduler (see its comment in
 // golden_sweep_data.inc) and pins the fused engine's monotonic rename; the
 // helper_design golden pins the non-power-of-two clock ratio.
@@ -116,13 +116,7 @@ std::string cache_off_sweep_csv(const std::string& name, unsigned threads) {
           << name << " " << p.profile.name << " baseline";
     }
   };
-  if (threads <= 1) {
-    for (const ExperimentPoint& p : points) run_point(p);
-  } else {
-    ThreadPool pool(threads);
-    for (const ExperimentPoint& p : points) pool.submit([&run_point, &p] { run_point(p); });
-    pool.wait_idle();
-  }
+  parallel_for(points.size(), threads, [&](std::size_t i) { run_point(points[i]); });
   return to_csv(result);
 }
 

@@ -284,13 +284,14 @@ TEST(Windowed, MeasuredUopsAddUp) {
 
 // --- sampling through simulate_workload -------------------------------------
 
-TEST(Windowed, ActiveSpecRoutesSimulateWorkload) {
+TEST(Windowed, SpecRoutesSimulateWorkload) {
   const WorkloadProfile& prof = spec_profile("parser");
   const MachineConfig cfg = helper_machine(steering_ir());
-  set_active_sample_spec(test_spec());
-  const SimResult via_workload = simulate_workload(cfg, prof, kLen);
-  set_active_sample_spec(SampleSpec{});  // restore: sampling off
-  EXPECT_TRUE(via_workload == simulate_sampled(cfg, prof, kLen, test_spec()).total);
+  EXPECT_TRUE(simulate_workload(cfg, prof, kLen, test_spec()) ==
+              simulate_sampled(cfg, prof, kLen, test_spec()).total);
+  // The default (disabled) spec is a full run.
+  EXPECT_TRUE(simulate_workload(cfg, prof, kLen) ==
+              simulate(cfg, cached_trace(prof, kLen)));
 }
 
 // --- sampled-vs-full accuracy -----------------------------------------------

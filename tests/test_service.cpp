@@ -28,6 +28,7 @@
 #include "svc/protocol.hpp"
 #include "svc/remote_sweep.hpp"
 #include "svc/service.hpp"
+#include "util/faultpoint.hpp"
 
 namespace hcsim::svc {
 namespace {
@@ -241,12 +242,17 @@ TEST(SweepService, BadVersionAndBadSampleSpecAreErrors) {
   EXPECT_FALSE(service.run_jobs(reqs, accept, outcome, error));
   EXPECT_FALSE(error.empty());
 
-  // One batch = one sample spec: mixing specs is refused up front.
-  reqs = {small_job(1000), small_job(2000)};
-  reqs[1].sampled = true;
+  // A bad spec anywhere rejects the whole batch before any result is sent.
+  std::vector<JobRequest> batch = {small_job(1000), reqs[0]};
+  u64 sent = 0;
   error.clear();
-  EXPECT_FALSE(service.run_jobs(reqs, accept, outcome, error));
-  EXPECT_NE(error.find("mixed"), std::string::npos) << error;
+  const auto count = [&sent](const JobResponse&) {
+    ++sent;
+    return true;
+  };
+  EXPECT_FALSE(service.run_jobs(batch, count, outcome, error));
+  EXPECT_NE(error.find("period"), std::string::npos) << error;
+  EXPECT_EQ(sent, 0u);
   EXPECT_EQ(outcome.completed, 0u);
 
   // The fault-tolerant client resolves the spec through the same function
@@ -273,9 +279,9 @@ TEST(SweepService, SampledJournaledSweepMatchesInProcessByteForByte) {
   opts.sample.warmup = 1000;
   opts.sample.measure = 4000;
 
-  sample::set_active_sample_spec(opts.sample);
-  const std::string local = exp::to_csv(exp::run_sweep(*spec, exp::RunOptions{}));
-  sample::set_active_sample_spec(sample::SampleSpec{});
+  exp::RunOptions local_opts;
+  local_opts.sample = opts.sample;
+  const std::string local = exp::to_csv(exp::run_sweep(*spec, local_opts));
 
   // Journal only, no socket: every job runs on the local fallback, which
   // resolves the spec through the wire rules first.
@@ -298,6 +304,88 @@ TEST(SweepService, SampledJournaledSweepMatchesInProcessByteForByte) {
   EXPECT_NE(error.find("warmup"), std::string::npos) << error;
   EXPECT_EQ(stats.jobs, 0u);
   EXPECT_NE(::access(dir.c_str(), F_OK), 0);
+}
+
+/// Three jobs over one trace: a full run and two different sampled runs.
+std::vector<JobRequest> mixed_spec_jobs(u64 warmup_b) {
+  std::vector<JobRequest> reqs = {small_job(30000), small_job(30000), small_job(30000)};
+  reqs[1].sampled = true;
+  reqs[1].warmup = 1000;
+  reqs[1].measure = 2000;
+  reqs[2].sampled = true;
+  reqs[2].warmup = warmup_b;
+  reqs[2].measure = 3000;
+  reqs[2].period = 10000;
+  return reqs;
+}
+
+/// run_jobs(reqs) must stream, for every request, exactly the encoded
+/// result of simulate_workload under that request's own spec.
+void expect_batch_matches_in_process(SweepService& service,
+                                     const std::vector<JobRequest>& reqs) {
+  std::vector<JobResponse> got;
+  SweepService::BatchOutcome outcome;
+  std::string error;
+  ASSERT_TRUE(service.run_jobs(
+      reqs,
+      [&got](const JobResponse& r) {
+        got.push_back(r);
+        return true;
+      },
+      outcome, error))
+      << error;
+  ASSERT_EQ(got.size(), reqs.size());
+  for (const JobRequest& req : reqs) {
+    sample::SampleSpec spec;
+    ASSERT_TRUE(resolve_sample_spec(req, spec, error)) << error;
+    std::vector<u8> want, have;
+    encode(want, simulate_workload(req.config, req.profile, req.n_records, spec));
+    for (const JobResponse& r : got)
+      if (r.job_id == job_id(req)) encode(have, r.result);
+    EXPECT_EQ(have, want) << spec.describe();
+  }
+}
+
+TEST(SweepService, MixedSampleSpecsInOneBatchMatchInProcess) {
+  SweepService service(/*threads=*/2);
+  expect_batch_matches_in_process(service, mixed_spec_jobs(500));
+}
+
+// Batches share no state but the journal and the trace cache: two threads
+// running differently-sampled batches on one service at once each get their
+// own in-process results.
+TEST(SweepService, ConcurrentBatchesWithDifferentSpecsMatchInProcess) {
+  SweepService service(/*threads=*/2);
+  std::vector<JobRequest> a = mixed_spec_jobs(500), b = mixed_spec_jobs(700);
+  b[0].sampled = true;  // default warm-up and measure
+  std::thread other([&] { expect_batch_matches_in_process(service, b); });
+  expect_batch_matches_in_process(service, a);
+  other.join();
+}
+
+// Fault points inside a batch fire in the caller's domain on every worker,
+// so "daemon."-qualified schedules do not depend on the thread count.
+TEST(SweepService, BatchWorkersKeepTheCallersFaultDomain) {
+  const std::string dir = test_socket_path("domain") + ".d";
+  {
+    SweepService service(/*threads=*/2, dir);
+    ASSERT_TRUE(service.journal_error().empty()) << service.journal_error();
+    fault::set_schedule("daemon.journal.append.torn:1000");  // counts, never fires
+    const std::vector<JobRequest> reqs = {small_job(1000), small_job(1500),
+                                          small_job(2000)};
+    SweepService::BatchOutcome outcome;
+    std::string error;
+    {
+      const fault::ScopedDomain domain("daemon");
+      EXPECT_TRUE(service.run_jobs(
+          reqs, [](const JobResponse&) { return true; }, outcome, error))
+          << error;
+    }
+    EXPECT_EQ(fault::hits("daemon.journal.append.torn"), reqs.size());
+    fault::set_schedule("");
+  }
+  ::unlink((dir + "/daemon.journal").c_str());
+  ::rmdir(dir.c_str());
 }
 
 TEST(SweepService, MatchesInProcessSweepByteForByte) {

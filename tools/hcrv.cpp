@@ -21,6 +21,7 @@
 #include "rv/crack.hpp"
 #include "rv/kernels.hpp"
 #include "sim/simulator.hpp"
+#include "util/log.hpp"
 
 using namespace hcsim;
 
@@ -68,15 +69,6 @@ bool assemble_arg(const std::string& arg, rv::RvProgram& prog) {
   }
   prog = std::move(res.program);
   return true;
-}
-
-u64 parse_budget(const char* s) {
-  u64 v = 0;
-  if (parse_u64(s, v, 1) != std::errc{}) {
-    std::fprintf(stderr, "hcrv: bad --budget '%s'\n", s);
-    std::exit(2);
-  }
-  return v;
 }
 
 int cmd_kernels() {
@@ -206,7 +198,7 @@ int main(int argc, char** argv) {
     if (arg == "-o") out_path = next();
     else if (arg == "--list") list = true;
     else if (arg == "--steer") scheme = next();
-    else if (arg == "--budget") budget = parse_budget(next());
+    else if (arg == "--budget") budget = parse_flag_u64("--budget", next(), 1);
     else {
       std::fprintf(stderr, "hcrv: unknown option '%s'\n", arg.c_str());
       return usage();

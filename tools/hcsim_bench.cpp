@@ -37,17 +37,6 @@ using namespace hcsim;
 
 namespace {
 
-u64 parse_u64(const char* flag, const char* s,
-              u64 hi = std::numeric_limits<u64>::max()) {
-  u64 v = 0;
-  if (hcsim::parse_u64(s, v, 1, hi) != std::errc{}) {
-    std::fprintf(stderr, "%s: bad value '%s' (positive integer up to %llu required)\n",
-                 flag, s, static_cast<unsigned long long>(hi));
-    std::exit(2);
-  }
-  return v;
-}
-
 /// Best-of-`reps` throughput of `body` in items (µops) per second.
 template <typename Fn>
 double best_items_per_sec(u64 n_items, unsigned reps, Fn&& body) {
@@ -80,10 +69,10 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--uops") {
-      n_uops = parse_u64("--uops", next());
+      n_uops = parse_flag_u64("--uops", next(), 1);
     } else if (arg == "--reps") {
       reps = static_cast<unsigned>(
-          parse_u64("--reps", next(), std::numeric_limits<unsigned>::max()));
+          parse_flag_u64("--reps", next(), 1, std::numeric_limits<unsigned>::max()));
     } else if (arg == "--label") {
       label = next();
     } else if (arg == "--json") {

@@ -15,14 +15,13 @@
 // Sampling: --sampled switches to warm-up/measure windowed simulation
 // (defaults warmup=20000 measure=80000, period auto ~20 windows) and prints
 // the per-window table; any --sample-* flag implies --sampled and overrides
-// the HCSIM_SAMPLE_* environment. --threads N slices the windows across a
-// thread pool (bit-identical to --threads 1). --compare-full additionally
+// the HCSIM_SAMPLE_* environment. --threads N slices the windows across N
+// workers (bit-identical to --threads 1). --compare-full additionally
 // runs the full simulation and prints the sampled-vs-full error per metric.
 // An inconsistent schedule (period < warmup + measure) exits 2.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -61,22 +60,6 @@ int usage(const char* argv0) {
                "          [--threads N] [--compare-full] [--verbose]\n",
                argv0);
   return 2;
-}
-
-/// Parse one decimal integer in [lo, hi], rejecting trailing garbage
-/// ("100k") and signs ("-1").
-u64 parse_u64(const char* flag, const char* s, u64 lo,
-              u64 hi = std::numeric_limits<u64>::max()) {
-  u64 v = 0;
-  if (hcsim::parse_u64(s, v, lo, hi) != std::errc{}) {
-    std::fprintf(stderr, "%s: bad value '%s' (%s integer", flag, s,
-                 lo ? "positive" : "non-negative");
-    if (hi != std::numeric_limits<u64>::max())
-      std::fprintf(stderr, " up to %llu", static_cast<unsigned long long>(hi));
-    std::fprintf(stderr, " required)\n");
-    std::exit(2);
-  }
-  return v;
 }
 
 void print_counters(const SimResult& r) {
@@ -137,9 +120,9 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
-    const auto value = [&](u64 lo) { return parse_u64(arg.c_str(), next(), lo); };
+    const auto value = [&](u64 lo) { return parse_flag_u64(arg.c_str(), next(), lo); };
     if (arg == "--threads") {
-      threads = static_cast<unsigned>(parse_u64("--threads", next(), 1, 4096));
+      threads = static_cast<unsigned>(parse_flag_u64("--threads", next(), 1, 4096));
     } else if (arg == "--compare-full") {
       compare_full = true;
       sampled = true;
@@ -158,17 +141,13 @@ int main(int argc, char** argv) {
   const SteeringConfig steer =
       scheme_by_name(positional.size() > 1 ? positional[1] : "ir");
   const u64 n = positional.size() > 2
-                    ? parse_u64("n_uops", positional[2].c_str(), 1)
+                    ? parse_flag_u64("n_uops", positional[2].c_str(), 1)
                     : default_trace_len();
   if (sampled && spec.measure == 0) spec.measure = sample::kDefaultMeasure;
   if (std::string error; !spec.check(error)) {
     std::fprintf(stderr, "%s\n", error.c_str());
     return 2;
   }
-  // This tool drives sampling explicitly via simulate_sampled(); clear the
-  // env-initialized active spec so simulate_workload always runs full.
-  sample::set_active_sample_spec(sample::SampleSpec{});
-
   const MachineConfig cfg =
       steer.helper_enabled ? helper_machine(steer) : monolithic_baseline();
   std::printf("%s", describe_machine(cfg).c_str());

@@ -1,4 +1,4 @@
-// hcsim_sweep — run a named experiment sweep on the thread-pool runner and
+// hcsim_sweep — run a named experiment sweep on the parallel runner and
 // emit the aggregated report, optionally mirrored to CSV/JSON for plotting.
 //
 // Usage:
@@ -49,7 +49,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -104,21 +103,6 @@ bool write_file(const std::string& path, const std::string& content) {
   if (!f) return false;
   f << content;
   return f.good();
-}
-
-/// Parse one decimal integer in [lo, hi]; anything else is a usage error.
-u64 parse_u64(const char* flag, const char* s, u64 lo,
-              u64 hi = std::numeric_limits<u64>::max()) {
-  u64 v = 0;
-  const std::errc e = hcsim::parse_u64(s, v, lo, hi);
-  if (e == std::errc{}) return v;
-  if (e == std::errc::result_out_of_range && v > hi)
-    std::fprintf(stderr, "%s: %s exceeds the limit of %llu\n", flag, s,
-                 static_cast<unsigned long long>(hi));
-  else
-    std::fprintf(stderr, "%s: bad value '%s' (%s integer required)\n", flag, s,
-                 lo ? "positive" : "non-negative");
-  std::exit(2);
 }
 
 /// Parse "s1,s2,..." as positive integers. Exits with a usage error on
@@ -200,11 +184,12 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
-    const auto value = [&](u64 lo) { return parse_u64(arg.c_str(), next(), lo); };
+    const auto value = [&](u64 lo) { return parse_flag_u64(arg.c_str(), next(), lo); };
     if (arg == "--threads") {
-      opts.threads = static_cast<unsigned>(parse_u64("--threads", next(), 0, kMaxThreads));
+      opts.threads =
+          static_cast<unsigned>(parse_flag_u64("--threads", next(), 0, kMaxThreads));
     } else if (arg == "--len") {
-      const u64 len = parse_u64("--len", next(), 1);
+      const u64 len = parse_flag_u64("--len", next(), 1);
       if (spec) spec->trace_lens = {len};
     } else if (arg == "--seeds") {
       const std::vector<u64> seeds = parse_u64_list("--seeds", next());
@@ -224,12 +209,12 @@ int main(int argc, char** argv) {
     } else if (arg == "--journal-dir") {
       journal_dir = next();
     } else if (arg == "--retry") {
-      retries = parse_u64("--retry", next(), 1, 1000);
+      retries = parse_flag_u64("--retry", next(), 1, 1000);
     } else if (arg == "--retry-backoff-ms") {
-      retry_backoff_ms = parse_u64("--retry-backoff-ms", next(), 0);
+      retry_backoff_ms = parse_flag_u64("--retry-backoff-ms", next(), 0);
     } else if (arg == "--timeout-ms") {
       // The client's deadlines are int milliseconds (poll(2)).
-      timeout_ms = parse_u64("--timeout-ms", next(), 1, INT_MAX);
+      timeout_ms = parse_flag_u64("--timeout-ms", next(), 1, INT_MAX);
     } else if (arg == "--no-fallback") {
       no_fallback = true;
     } else if (arg == "--shutdown") {
@@ -335,14 +320,13 @@ int main(int argc, char** argv) {
                      pr.speedup());
       };
     }
-    // The full reference sweep runs first, with sampling forced off; the
-    // main (possibly sampled) sweep then installs the active spec for its
-    // workers.
+    // The full reference sweep runs first, then the main (possibly
+    // sampled) sweep.
     if (compare_full) {
-      sample::set_active_sample_spec(sample::SampleSpec{});
+      opts.sample = sample::SampleSpec{};
       full_result = run_sweep(*spec, opts);
     }
-    sample::set_active_sample_spec(sample_spec);
+    opts.sample = sample_spec;
     result = run_sweep(*spec, opts);
   }
 

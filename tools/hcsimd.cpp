@@ -1,7 +1,7 @@
 // hcsimd — persistent simulation service.
 //
 // Keeps the process-wide trace cache and config registry warm across job
-// batches and runs every job on one shared thread pool. Clients speak the
+// batches and runs each job batch on up to --threads workers. Clients speak the
 // length-prefixed framed protocol of docs/PROTOCOL.md over a Unix-domain
 // socket; `hcsim_sweep --connect <sock>` is the reference client.
 //
@@ -9,7 +9,7 @@
 //   hcsimd --socket PATH [--threads N] [--idle-timeout-ms N]
 //          [--conn-idle-timeout-ms N] [--journal-dir DIR]
 //
-// --threads 0 (default) sizes the job pool to the hardware. With
+// --threads 0 (default) sizes each batch's workers to the hardware. With
 // --idle-timeout-ms the daemon exits by itself once it has had no client
 // for that long; shutdown unlinks the socket. --conn-idle-timeout-ms
 // (default 60000, 0 = off) drops a connection that sends nothing for that
@@ -21,7 +21,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <limits>
 #include <string>
 
 #include "svc/daemon.hpp"
@@ -35,19 +34,6 @@ int usage(const char* argv0) {
                "       [--conn-idle-timeout-ms N] [--journal-dir DIR]\n",
                argv0);
   return 2;
-}
-
-hcsim::u64 parse_u64(const char* flag, const char* s,
-                     hcsim::u64 hi = std::numeric_limits<hcsim::u64>::max()) {
-  hcsim::u64 v = 0;
-  const std::errc e = hcsim::parse_u64(s, v, 0, hi);
-  if (e == std::errc{}) return v;
-  if (e == std::errc::result_out_of_range && v > hi)
-    std::fprintf(stderr, "%s: %s exceeds the limit of %llu\n", flag, s,
-                 static_cast<unsigned long long>(hi));
-  else
-    std::fprintf(stderr, "%s: bad value '%s'\n", flag, s);
-  std::exit(2);
 }
 
 }  // namespace
@@ -66,11 +52,13 @@ int main(int argc, char** argv) {
     if (arg == "--socket") {
       opts.socket_path = next();
     } else if (arg == "--threads") {
-      opts.threads = static_cast<unsigned>(parse_u64("--threads", next(), 4096));
+      opts.threads =
+          static_cast<unsigned>(hcsim::parse_flag_u64("--threads", next(), 0, 4096));
     } else if (arg == "--idle-timeout-ms") {
-      opts.idle_timeout_ms = parse_u64("--idle-timeout-ms", next());
+      opts.idle_timeout_ms = hcsim::parse_flag_u64("--idle-timeout-ms", next());
     } else if (arg == "--conn-idle-timeout-ms") {
-      opts.conn_idle_timeout_ms = parse_u64("--conn-idle-timeout-ms", next());
+      opts.conn_idle_timeout_ms =
+          hcsim::parse_flag_u64("--conn-idle-timeout-ms", next());
     } else if (arg == "--journal-dir") {
       opts.journal_dir = next();
     } else {

@@ -8,6 +8,7 @@
 
 #include "analysis/trace_stats.hpp"
 #include "trace/trace.hpp"
+#include "util/log.hpp"
 #include "util/narrow.hpp"
 
 using namespace hcsim;
@@ -22,11 +23,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "failed to load %s\n", argv[1]);
     return 1;
   }
-  u64 show = 16;
-  if (argc > 2 && parse_u64(argv[2], show) != std::errc{}) {
-    std::fprintf(stderr, "n_records must be a non-negative integer\n");
-    return 2;
-  }
+  const u64 show = argc > 2 ? parse_flag_u64("n_records", argv[2]) : 16;
 
   std::printf("trace '%s': %zu dynamic uops, %zu static uops, seed %llu\n\n",
               trace.program.name.c_str(), trace.records.size(),

@@ -11,6 +11,7 @@
 #include <string>
 
 #include "trace/trace.hpp"
+#include "util/log.hpp"
 #include "wload/executor.hpp"
 #include "wload/profile.hpp"
 
@@ -60,15 +61,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "unknown profile '%s'\n", argv[1]);
     return 2;
   }
-  u64 n = 0;
-  if (parse_u64(argv[2], n, 1) != std::errc{}) {
-    std::fprintf(stderr, "n_uops must be a positive integer\n");
-    return 2;
-  }
-  if (argc > 4 && parse_u64(argv[4], prof.seed) != std::errc{}) {
-    std::fprintf(stderr, "seed must be a non-negative decimal integer\n");
-    return 2;
-  }
+  const u64 n = parse_flag_u64("n_uops", argv[2], 1);
+  if (argc > 4) prof.seed = parse_flag_u64("seed", argv[4]);
 
   const Trace trace = generate_trace(prof, n);
   if (!save_trace(trace, argv[3])) {
