@@ -25,7 +25,8 @@ double variant_gain(const std::vector<exp::VariantSummary>& summaries,
 }  // namespace
 
 int main() {
-  const exp::SweepResult res = run_named_sweep("helper_design");
+  const exp::SweepResult res =
+      exp::run_sweep(named_sweep("helper_design"), sweep_options());
   const std::vector<exp::VariantSummary> summaries = exp::summarize(res);
 
   header("Ablation A - helper clock ratio",

@@ -14,16 +14,19 @@ int main() {
          "sending whole blocks to the helper should minimize copies while "
          "still reducing imbalance");
 
-  const std::vector<SteeringConfig> cfgs = {steering_ir(), steering_ir_block()};
+  const exp::SweepResult res = exp::run_sweep(
+      spec_suite("ablation_ir_block", {steering_ir(), steering_ir_block()}),
+      sweep_options());
+
   TextTable t({"config", "perf+%", "steered%", "copies%", "copies/split",
                "NREADY w2n%"});
   double perf[2] = {0, 0}, steered[2] = {0, 0}, copies[2] = {0, 0};
   double cps[2] = {0, 0}, w2n[2] = {0, 0};
-  for (const std::string& app : spec_names()) {
-    const MultiRun run = run_app_configs(spec_profile(app), cfgs);
+  const auto apps = app_rows(res);
+  for (const auto& app : apps) {
     for (int i = 0; i < 2; ++i) {
-      const SimResult& r = run.configs[i];
-      perf[i] += (r.speedup_vs(run.baseline) - 1.0) * 100.0;
+      const SimResult& r = app[i].sim;
+      perf[i] += app[i].perf_increase_pct();
       steered[i] += 100.0 * r.helper_frac();
       copies[i] += 100.0 * r.copy_frac();
       cps[i] += r.split_uops ? static_cast<double>(r.copies) /
@@ -32,7 +35,7 @@ int main() {
       w2n[i] += r.nready_w2n_pct();
     }
   }
-  const double n = static_cast<double>(spec_names().size());
+  const double n = static_cast<double>(apps.size());
   const char* names[] = {"+IR (4-copy prefetch back)", "+IR(block)"};
   for (int i = 0; i < 2; ++i)
     t.add_row({names[i], TextTable::num(perf[i] / n, 1),

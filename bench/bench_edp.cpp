@@ -11,7 +11,7 @@ int main() {
   header("Energy-delay^2 - baseline vs helper cluster (IR configuration)",
          "helper cluster is 5.1% more energy-delay^2 efficient than baseline");
 
-  const exp::SweepResult res = run_named_sweep("edp");
+  const exp::SweepResult res = exp::run_sweep(named_sweep("edp"), sweep_options());
 
   TextTable t({"app", "E base", "E helper", "D ratio", "ED2 gain %"});
   std::vector<double> gains, e_ratio;

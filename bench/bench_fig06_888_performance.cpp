@@ -9,7 +9,7 @@ int main() {
   header("Figure 6 - performance of the 8_8_8 scheme",
          "+6.2% average; bzip2 worst (high copy/narrow ratio), gcc best (low)");
 
-  const exp::SweepResult res = run_named_sweep("fig06");
+  const exp::SweepResult res = exp::run_sweep(named_sweep("fig06"), sweep_options());
 
   TextTable t({"app", "perf increase %", "copy/narrow ratio", "bar"});
   std::vector<double> gains;

@@ -2,8 +2,9 @@
 // best steering (IR) over 409 generated applications in 7 categories, plus
 // the per-app S-curve summary (baseline = 1).
 //
-// The per-app trace length is reduced relative to the SPEC benches to keep
-// 409 x 2 simulations tractable; HCSIM_FIG14_LEN overrides it.
+// Driven by the exp/ sweep engine (409 category apps x {IR}). The per-app
+// trace length is reduced relative to the SPEC benches to keep 409 x 2
+// simulations tractable; HCSIM_FIG14_LEN overrides it.
 #include <algorithm>
 
 #include "bench_util.hpp"
@@ -17,24 +18,31 @@ int main() {
          "consistent gains; multimedia/kernels/sfp benefit more than "
          "office/productivity; 11% average over the full set");
 
-  const u64 len = env_u64("HCSIM_FIG14_LEN", 40000);
+  exp::SweepSpec spec;
+  spec.name = "fig14";
+  for (const WorkloadCategory& cat : workload_categories())
+    for (unsigned i = 0; i < cat.num_traces; ++i)
+      spec.workloads.push_back(category_app_profile(cat, i));
+  spec.variants = {exp::variant_from_steering(steering_ir())};
+  spec.trace_lens = {env_u64("HCSIM_FIG14_LEN", 40000)};
+  const exp::SweepResult res = exp::run_sweep(spec, sweep_options());
+
   std::vector<double> all_speedups;
   TextTable t({"category", "#traces", "perf increase %", "bar"});
   std::vector<std::pair<std::string, double>> cat_gain;
+  std::size_t next = 0;  // points are in category, then app, order
   for (const WorkloadCategory& cat : workload_categories()) {
     std::vector<double> speedups;
     for (unsigned i = 0; i < cat.num_traces; ++i) {
-      const WorkloadProfile prof = category_app_profile(cat, i);
-      const AppRun run = run_app(prof, steering_ir(), len);
-      speedups.push_back(run.speedup());
-      all_speedups.push_back(run.speedup());
+      speedups.push_back(res.points[next++].speedup());
+      all_speedups.push_back(speedups.back());
     }
-    const double gain = (geomean(speedups) - 1.0) * 100.0;
+    const double gain = (exp::geomean(speedups) - 1.0) * 100.0;
     cat_gain.emplace_back(cat.name, gain);
     t.add_row({cat.name, std::to_string(cat.num_traces), TextTable::num(gain, 1),
                ascii_bar(gain, 30.0, 30)});
   }
-  const double overall = (geomean(all_speedups) - 1.0) * 100.0;
+  const double overall = (exp::geomean(all_speedups) - 1.0) * 100.0;
   t.add_row({"ALL", std::to_string(all_speedups.size()), TextTable::num(overall, 1),
              ascii_bar(overall, 30.0, 30)});
   std::printf("%s\n", t.render().c_str());

@@ -12,17 +12,20 @@ int main() {
          "IR: +22.1% perf, 72.4% steered, imbalance -> 2.3%. "
          "IR(nodest): +21.3%, 63.6% steered, copies 36.9% -> 24.4%");
 
-  const std::vector<SteeringConfig> cfgs = {steering_888_br_lr(), steering_cp(),
-                                            steering_ir(), steering_ir_nodest()};
+  const exp::SweepResult res = exp::run_sweep(
+      spec_suite("ir_imbalance", {steering_888_br_lr(), steering_cp(), steering_ir(),
+                                  steering_ir_nodest()}),
+      sweep_options());
+
   struct Row {
     double perf = 0, steered = 0, copies = 0, w2n = 0, n2w = 0, splits = 0;
   };
-  std::vector<Row> rows(cfgs.size());
-  for (const std::string& app : spec_names()) {
-    const MultiRun run = run_app_configs(spec_profile(app), cfgs);
-    for (std::size_t i = 0; i < cfgs.size(); ++i) {
-      const SimResult& r = run.configs[i];
-      rows[i].perf += (r.speedup_vs(run.baseline) - 1.0) * 100.0;
+  const auto apps = app_rows(res);
+  std::vector<Row> rows(apps.front().size());
+  for (const auto& app : apps) {
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      const SimResult& r = app[i].sim;
+      rows[i].perf += app[i].perf_increase_pct();
       rows[i].steered += 100.0 * r.helper_frac();
       rows[i].copies += 100.0 * r.copy_frac();
       rows[i].w2n += r.nready_w2n_pct();
@@ -30,11 +33,11 @@ int main() {
       rows[i].splits += static_cast<double>(r.split_uops);
     }
   }
-  const double n = static_cast<double>(spec_names().size());
+  const double n = static_cast<double>(apps.size());
   TextTable t({"config", "perf+%", "steered%", "copies%", "NREADY w2n%",
                "NREADY n2w%", "splits/app"});
   const char* names[] = {"8_8_8+BR+LR", "pre-IR (CP)", "+IR", "+IR(nodest)"};
-  for (std::size_t i = 0; i < cfgs.size(); ++i)
+  for (std::size_t i = 0; i < rows.size(); ++i)
     t.add_row({names[i], TextTable::num(rows[i].perf / n, 1),
                TextTable::num(rows[i].steered / n, 1),
                TextTable::num(rows[i].copies / n, 1),

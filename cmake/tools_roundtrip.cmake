@@ -79,6 +79,8 @@ expect_usage_error(${SWEEP} smoke --len -1)
 expect_usage_error(${SWEEP} smoke --len 99999999999999999999)
 expect_usage_error(${SWEEP} smoke --threads 4097)
 expect_usage_error(${RUN} gcc ir -1)
+# An unknown steering scheme is a usage error, not a silent IR run.
+expect_usage_error(${RUN} gcc bogus 5000)
 expect_usage_error(${HCRV} run fib --budget -1)
 expect_usage_error(${BENCH} --reps 4294967296)
 expect_usage_error(${GEN} gcc -5000 c.hctrace)

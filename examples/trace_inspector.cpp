@@ -49,12 +49,15 @@ int main(int argc, char** argv) {
               cs.load_confined.percent(), cs.arith_confined.percent());
   std::printf("producer-consumer distance  : %.2f uops\n", ds.mean());
 
-  const AppRun run = run_app(prof, steer);
-  const SimResult& b = run.baseline;
-  const SimResult& h = run.helper;
+  // HCSIM_SAMPLE_* switches both runs to warm-up/measure sampling.
+  const sample::SampleSpec spec = sample::spec_from_env();
+  const MachineConfig helper = helper_machine(steer);
+  const SimResult b =
+      simulate_workload(monolithic_baseline(), prof, default_trace_len(), spec);
+  const SimResult h = simulate_workload(helper, prof, default_trace_len(), spec);
   std::printf("\n== %s vs baseline ==\n", h.config.c_str());
   std::printf("IPC                  : %.3f -> %.3f  (%+.1f%%)\n", b.ipc, h.ipc,
-              run.perf_increase_pct());
+              (h.speedup_vs(b) - 1.0) * 100.0);
   std::printf("baseline bpred acc   : %.1f%%  dl0 %.1f%%  ul1 %.1f%%\n",
               100.0 * (1.0 - static_cast<double>(b.branch_mispredicts) /
                                  static_cast<double>(b.branches ? b.branches : 1)),
@@ -91,7 +94,7 @@ int main(int argc, char** argv) {
               (unsigned long long)h.counters[Counter::kMobForwards]);
 
   const PowerReport pb = analyze_power(b, monolithic_baseline());
-  const PowerReport ph = analyze_power(h, helper_machine(steer));
+  const PowerReport ph = analyze_power(h, helper);
   std::printf("energy base/helper   : %.0f / %.0f  (ED2 ratio %.3f)\n", pb.energy,
               ph.energy, pb.ed2p / ph.ed2p);
   return 0;

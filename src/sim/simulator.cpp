@@ -2,9 +2,7 @@
 
 #include <map>
 #include <mutex>
-#include <span>
 #include <sstream>
-#include <vector>
 
 #include "sample/windowed.hpp"
 #include "util/log.hpp"
@@ -27,12 +25,6 @@ std::unique_ptr<TraceCursor> open_trace_cursor(const WorkloadProfile& profile,
   if (n_records <= stream_threshold())
     return std::make_unique<TraceVectorCursor>(cached_trace(profile, n_records));
   return open_workload_cursor(profile, n_records);
-}
-
-SimResult simulate_streamed(const MachineConfig& cfg, const WorkloadProfile& profile,
-                            u64 n_records) {
-  if (n_records == 0) n_records = default_trace_len();
-  return simulate(cfg, *open_workload_cursor(profile, n_records));
 }
 
 SimResult simulate_workload(const MachineConfig& cfg, const WorkloadProfile& profile,
@@ -66,47 +58,6 @@ const Trace& cached_trace(const WorkloadProfile& profile, u64 n_records) {
   }
   std::call_once(entry->once, [&] { entry->trace = generate_trace(profile, n_records); });
   return entry->trace;
-}
-
-namespace {
-
-AppRun run_app_under(const WorkloadProfile& profile, const SteeringConfig& steer,
-                     u64 n_records, const sample::SampleSpec& spec) {
-  if (n_records == 0) n_records = default_trace_len();
-  AppRun run;
-  run.app = profile.name;
-  run.baseline = simulate_workload(monolithic_baseline(), profile, n_records, spec);
-  run.helper = simulate_workload(helper_machine(steer), profile, n_records, spec);
-  return run;
-}
-
-}  // namespace
-
-AppRun run_app(const WorkloadProfile& profile, const SteeringConfig& steer,
-               u64 n_records) {
-  return run_app_under(profile, steer, n_records, sample::spec_from_env());
-}
-
-MultiRun run_app_configs(const WorkloadProfile& profile,
-                         std::span<const SteeringConfig> configs, u64 n_records) {
-  if (n_records == 0) n_records = default_trace_len();
-  const sample::SampleSpec spec = sample::spec_from_env();
-  MultiRun run;
-  run.app = profile.name;
-  run.baseline = simulate_workload(monolithic_baseline(), profile, n_records, spec);
-  run.configs.reserve(configs.size());
-  for (const SteeringConfig& sc : configs)
-    run.configs.push_back(
-        simulate_workload(helper_machine(sc), profile, n_records, spec));
-  return run;
-}
-
-std::vector<AppRun> run_spec_suite(const SteeringConfig& steer, u64 n_records) {
-  const sample::SampleSpec spec = sample::spec_from_env();
-  std::vector<AppRun> runs;
-  for (const WorkloadProfile& p : spec_int_2000_profiles())
-    runs.push_back(run_app_under(p, steer, n_records, spec));
-  return runs;
 }
 
 std::string describe_machine(const MachineConfig& cfg) {

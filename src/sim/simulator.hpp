@@ -1,14 +1,12 @@
-// hcsim — top-level simulation facade shared by examples, benches and tests.
-//
-// Wraps workload generation, trace caching (traces are deterministic, so one
-// process-wide cache serves every experiment), and the
-// baseline-vs-helper-cluster comparison that every figure reports.
+// hcsim — one workload on one machine: workload generation, trace caching
+// (traces are deterministic, so one process-wide cache serves every
+// experiment) and the routing between cached, streamed and sampled runs.
+// Grids of workloads x machines, and the baseline-vs-helper comparison every
+// figure reports, run through exp::run_sweep (exp/runner.hpp).
 #pragma once
 
 #include <memory>
-#include <span>
 #include <string>
-#include <vector>
 
 #include "core/pipeline.hpp"
 #include "sample/spec.hpp"
@@ -41,12 +39,6 @@ u64 stream_threshold();
 std::unique_ptr<TraceCursor> open_trace_cursor(const WorkloadProfile& profile,
                                                u64 n_records);
 
-/// Always-streaming simulation: records flow from the workload generator
-/// (or the RV kernel cracker) straight into the pipeline, O(chunk) memory.
-/// Bit-identical to simulate(cfg, cached_trace(profile, n_records)).
-SimResult simulate_streamed(const MachineConfig& cfg, const WorkloadProfile& profile,
-                            u64 n_records);
-
 /// Simulate one workload through open_trace_cursor(): cached in-memory
 /// trace at or below stream_threshold() (shared across experiments),
 /// streaming above it. An enabled `spec` routes the run through the
@@ -55,37 +47,6 @@ SimResult simulate_streamed(const MachineConfig& cfg, const WorkloadProfile& pro
 /// A pure function of its arguments.
 SimResult simulate_workload(const MachineConfig& cfg, const WorkloadProfile& profile,
                             u64 n_records = 0, const sample::SampleSpec& spec = {});
-
-/// One application simulated on the monolithic baseline and on a helper
-/// cluster configuration. This facade and its siblings below serve the
-/// figure benches, examples and tests: each call reads the HCSIM_SAMPLE_*
-/// environment once (sample::spec_from_env()) and runs every simulation
-/// under that spec.
-struct AppRun {
-  std::string app;
-  SimResult baseline;
-  SimResult helper;
-  double speedup() const { return helper.speedup_vs(baseline); }
-  double perf_increase_pct() const { return (speedup() - 1.0) * 100.0; }
-};
-
-AppRun run_app(const WorkloadProfile& profile, const SteeringConfig& steer,
-               u64 n_records = 0);
-
-/// One application against several steering configurations (shared trace and
-/// shared baseline run).
-struct MultiRun {
-  std::string app;
-  SimResult baseline;
-  std::vector<SimResult> configs;
-};
-
-MultiRun run_app_configs(const WorkloadProfile& profile,
-                         std::span<const SteeringConfig> configs,
-                         u64 n_records = 0);
-
-/// The 12-app SPEC Int 2000 sweep used by most figures.
-std::vector<AppRun> run_spec_suite(const SteeringConfig& steer, u64 n_records = 0);
 
 /// Print the Table 1 machine parameters.
 std::string describe_machine(const MachineConfig& cfg);

@@ -148,12 +148,4 @@ class Histogram {
   u64 sum_ = 0;
 };
 
-/// Geometric mean helper for speedup aggregation across apps.
-inline double geomean(const std::vector<double>& xs) {
-  if (xs.empty()) return 0.0;
-  double acc = 0.0;
-  for (double x : xs) acc += std::log(std::max(x, 1e-12));
-  return std::exp(acc / static_cast<double>(xs.size()));
-}
-
 }  // namespace hcsim

@@ -2,6 +2,10 @@
 // generated workloads at reduced trace lengths.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "exp/report.hpp"
+#include "exp/runner.hpp"
 #include "sim/simulator.hpp"
 
 namespace hcsim {
@@ -9,32 +13,52 @@ namespace {
 
 constexpr u64 kLen = 40000;
 
-// Shared across tests in this file (traces are cached process-wide anyway).
-const std::vector<SteeringConfig>& all_schemes() {
-  static const std::vector<SteeringConfig> kSchemes = {
-      steering_888(),         steering_888_br(), steering_888_br_lr(),
-      steering_888_br_lr_cr(), steering_cp(),    steering_ir(),
-      steering_ir_nodest()};
-  return kSchemes;
+// The cumulative ladder's variant order (exp::cumulative_scheme_variants).
+enum Scheme : std::size_t { k888, kBr, kBrLr, kBrLrCr, kCp, kIr, kIrNodest, kNumSchemes };
+
+// The cumulative grid (12 SPEC apps x the 7-scheme ladder) at kLen µops,
+// simulated once per process and read by every test below.
+const exp::SweepResult& cumulative() {
+  static const exp::SweepResult kResult = [] {
+    exp::SweepSpec spec = *exp::find_sweep("cumulative");
+    spec.trace_lens = {kLen};
+    return exp::run_sweep(spec);
+  }();
+  return kResult;
+}
+
+const exp::PointResult& point(const std::string& app, Scheme scheme) {
+  const auto& apps = spec_int_2000_profiles();
+  const auto it = std::find_if(apps.begin(), apps.end(),
+                               [&](const WorkloadProfile& p) { return p.name == app; });
+  const auto a = static_cast<std::size_t>(it - apps.begin());
+  return cumulative().points.at(a * kNumSchemes + scheme);
+}
+
+// One variant over `workloads` at the given trace lengths.
+exp::SweepResult run_one_variant(std::vector<WorkloadProfile> workloads,
+                                 exp::ConfigVariant variant, std::vector<u64> lens) {
+  exp::SweepSpec spec;
+  spec.workloads = std::move(workloads);
+  spec.variants = {std::move(variant)};
+  spec.trace_lens = std::move(lens);
+  return exp::run_sweep(spec);
 }
 
 TEST(Integration, AllSchemesRunAllApps) {
-  for (const auto& prof : spec_int_2000_profiles()) {
-    const MultiRun run = run_app_configs(prof, all_schemes(), kLen);
-    for (const SimResult& r : run.configs) {
-      EXPECT_EQ(r.uops, kLen) << prof.name << " " << r.config;
-      EXPECT_GT(r.final_tick, 0u);
-    }
+  ASSERT_EQ(cumulative().points.size(), spec_int_2000_profiles().size() * kNumSchemes);
+  for (const exp::PointResult& pr : cumulative().points) {
+    EXPECT_EQ(pr.sim.uops, kLen) << pr.point.profile.name << " " << pr.sim.config;
+    EXPECT_GT(pr.sim.final_tick, 0u);
   }
 }
 
 TEST(Integration, SteeredFractionGrowsAcrossSchemes) {
   // Paper: 15% (8-8-8) -> 19.5% (BR) -> 47.5% (CR). Check monotone growth
   // for the stacking that adds steering rules.
-  const MultiRun run = run_app_configs(spec_profile("gcc"), all_schemes(), kLen);
-  const double s888 = run.configs[0].helper_frac();
-  const double sbr = run.configs[1].helper_frac();
-  const double scr = run.configs[3].helper_frac();
+  const double s888 = point("gcc", k888).sim.helper_frac();
+  const double sbr = point("gcc", kBr).sim.helper_frac();
+  const double scr = point("gcc", kBrLrCr).sim.helper_frac();
   EXPECT_GT(sbr, s888);
   EXPECT_GT(scr, sbr);
 }
@@ -43,9 +67,8 @@ TEST(Integration, BrAndLrReduceCopyFraction) {
   // Figures 8 and 9.
   int br_wins = 0, lr_wins = 0;
   for (const char* app : {"gcc", "gzip", "parser", "twolf"}) {
-    const MultiRun run = run_app_configs(spec_profile(app), all_schemes(), kLen);
-    br_wins += run.configs[1].copy_frac() < run.configs[0].copy_frac();
-    lr_wins += run.configs[2].copy_frac() < run.configs[1].copy_frac();
+    br_wins += point(app, kBr).sim.copy_frac() < point(app, k888).sim.copy_frac();
+    lr_wins += point(app, kBrLr).sim.copy_frac() < point(app, kBr).sim.copy_frac();
   }
   EXPECT_GE(br_wins, 3);
   EXPECT_GE(lr_wins, 3);
@@ -55,51 +78,46 @@ TEST(Integration, HelperClusterWinsOnAverage) {
   // The headline: the helper cluster speeds up SPEC Int (paper: +22% best
   // scheme). Demand a clearly positive geomean for the IR-family configs.
   std::vector<double> speedups;
-  for (const auto& prof : spec_int_2000_profiles()) {
-    const AppRun run = run_app(prof, steering_ir_nodest(), kLen);
-    speedups.push_back(run.speedup());
-  }
-  EXPECT_GT(geomean(speedups), 1.05);
+  for (const auto& prof : spec_int_2000_profiles())
+    speedups.push_back(point(prof.name, kIrNodest).speedup());
+  EXPECT_GT(exp::geomean(speedups), 1.05);
 }
 
 TEST(Integration, LaterSchemesBeatPlain888OnAverage) {
   std::vector<double> s888, scr;
   for (const auto& prof : spec_int_2000_profiles()) {
-    const MultiRun run = run_app_configs(prof, all_schemes(), kLen);
-    s888.push_back(run.configs[0].speedup_vs(run.baseline));
-    scr.push_back(run.configs[3].speedup_vs(run.baseline));
+    s888.push_back(point(prof.name, k888).speedup());
+    scr.push_back(point(prof.name, kBrLrCr).speedup());
   }
-  EXPECT_GT(geomean(scr), geomean(s888));
+  EXPECT_GT(exp::geomean(scr), exp::geomean(s888));
 }
 
 TEST(Integration, FatalMispredictionsStayRare) {
   // Paper: 0.83% of instructions with the confidence estimator.
-  for (const char* app : {"gcc", "gzip", "perlbmk"}) {
-    const AppRun run = run_app(spec_profile(app), steering_cp(), kLen);
-    EXPECT_LT(run.helper.fatal_rate(), 0.02) << app;
-  }
+  for (const char* app : {"gcc", "gzip", "perlbmk"})
+    EXPECT_LT(point(app, kCp).sim.fatal_rate(), 0.02) << app;
 }
 
 TEST(Integration, ConfidenceEstimatorCutsFatalMispredictions) {
   // Section 3.2: 2.11% -> 0.83% when adding the 2-bit confidence estimator.
+  const std::vector<const char*> apps = {"gcc", "gzip", "perlbmk", "twolf"};
+  std::vector<WorkloadProfile> workloads;
+  for (const char* app : apps) workloads.push_back(spec_profile(app));
+  exp::ConfigVariant off = exp::variant_from_steering(steering_888());
+  off.machine.wpred.use_confidence = false;
+  const exp::SweepResult without = run_one_variant(workloads, off, {kLen});
   double with_conf = 0, without_conf = 0;
-  for (const char* app : {"gcc", "gzip", "perlbmk", "twolf"}) {
-    const Trace& t = cached_trace(spec_profile(app), kLen);
-    MachineConfig on = helper_machine(steering_888());
-    MachineConfig off = helper_machine(steering_888());
-    off.wpred.use_confidence = false;
-    with_conf += simulate(on, t).fatal_rate();
-    without_conf += simulate(off, t).fatal_rate();
+  for (std::size_t i = 0; i < apps.size(); ++i) {
+    with_conf += point(apps[i], k888).sim.fatal_rate();
+    without_conf += without.points[i].sim.fatal_rate();
   }
   EXPECT_LT(with_conf, without_conf);
 }
 
 TEST(Integration, WidthPredictionAccuracyHigh) {
   // Paper Figure 5: ~93.5% average correct predictions.
-  for (const char* app : {"gcc", "twolf", "vpr"}) {
-    const AppRun run = run_app(spec_profile(app), steering_888(), kLen);
-    EXPECT_GT(run.helper.wp_accuracy(), 0.85) << app;
-  }
+  for (const char* app : {"gcc", "twolf", "vpr"})
+    EXPECT_GT(point(app, k888).sim.wp_accuracy(), 0.85) << app;
 }
 
 TEST(Integration, ImbalanceShapeMatchesPaper) {
@@ -107,40 +125,39 @@ TEST(Integration, ImbalanceShapeMatchesPaper) {
   // narrow-to-wide by an order of magnitude.
   double w2n = 0, n2w = 0;
   for (const auto& prof : spec_int_2000_profiles()) {
-    const AppRun run = run_app(prof, steering_888_br_lr(), kLen);
-    w2n += run.helper.nready_w2n_pct();
-    n2w += run.helper.nready_n2w_pct();
+    w2n += point(prof.name, kBrLr).sim.nready_w2n_pct();
+    n2w += point(prof.name, kBrLr).sim.nready_n2w_pct();
   }
   EXPECT_GT(w2n, 3.0 * n2w);
 }
 
 TEST(Integration, MemoryBoundAppGainsLeast) {
   // mcf is memory bound: its speedup must sit well below the suite's best.
-  double mcf_gain = 0, best = 0;
-  for (const auto& prof : spec_int_2000_profiles()) {
-    const AppRun run = run_app(prof, steering_ir(), kLen);
-    const double g = run.perf_increase_pct();
-    if (prof.name == "mcf") mcf_gain = g;
-    best = std::max(best, g);
-  }
-  EXPECT_LT(mcf_gain, best / 2.0);
+  double best = 0;
+  for (const auto& prof : spec_int_2000_profiles())
+    best = std::max(best, point(prof.name, kIr).perf_increase_pct());
+  EXPECT_LT(point("mcf", kIr).perf_increase_pct(), best / 2.0);
 }
 
 TEST(Integration, ScalesWithTraceLength) {
   // Results at 20k and 60k µops agree in direction (shape stability).
-  const AppRun small = run_app(spec_profile("gcc"), steering_ir(), 20000);
-  const AppRun large = run_app(spec_profile("gcc"), steering_ir(), 60000);
-  EXPECT_GT(small.speedup(), 1.0);
-  EXPECT_GT(large.speedup(), 1.0);
+  const exp::SweepResult r = run_one_variant(
+      {spec_profile("gcc")}, exp::variant_from_steering(steering_ir()), {20000, 60000});
+  ASSERT_EQ(r.points.size(), 2u);
+  EXPECT_GT(r.points[0].speedup(), 1.0);
+  EXPECT_GT(r.points[1].speedup(), 1.0);
 }
 
 TEST(Integration, CategoryAppsSimulateEndToEnd) {
   // One app from each Table 2 family.
-  for (const auto& cat : workload_categories()) {
-    const WorkloadProfile p = category_app_profile(cat, 0);
-    const AppRun run = run_app(p, steering_ir(), 15000);
-    EXPECT_EQ(run.helper.uops, 15000u) << cat.name;
-    EXPECT_GT(run.speedup(), 0.7) << cat.name;
+  std::vector<WorkloadProfile> workloads;
+  for (const auto& cat : workload_categories())
+    workloads.push_back(category_app_profile(cat, 0));
+  const exp::SweepResult r =
+      run_one_variant(workloads, exp::variant_from_steering(steering_ir()), {15000});
+  for (const exp::PointResult& pr : r.points) {
+    EXPECT_EQ(pr.sim.uops, 15000u) << pr.point.profile.name;
+    EXPECT_GT(pr.speedup(), 0.7) << pr.point.profile.name;
   }
 }
 

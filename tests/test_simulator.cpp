@@ -1,4 +1,4 @@
-// Tests for the simulation facade.
+// Tests for the trace cache and machine descriptions of src/sim.
 #include <gtest/gtest.h>
 
 #include "sim/simulator.hpp"
@@ -13,34 +13,6 @@ TEST(Simulator, CachedTraceReturnsSameObject) {
   EXPECT_EQ(&a, &b);
   const Trace& c = cached_trace(p, 6000);
   EXPECT_NE(&a, &c);
-}
-
-TEST(Simulator, RunAppProducesBothMachines) {
-  const AppRun run = run_app(spec_profile("gcc"), steering_888(), 10000);
-  EXPECT_EQ(run.app, "gcc");
-  EXPECT_EQ(run.baseline.uops, 10000u);
-  EXPECT_EQ(run.helper.uops, 10000u);
-  EXPECT_EQ(run.baseline.config, "baseline");
-  EXPECT_EQ(run.helper.config, "8_8_8");
-  EXPECT_GT(run.speedup(), 0.0);
-  EXPECT_NEAR(run.perf_increase_pct(), (run.speedup() - 1.0) * 100.0, 1e-12);
-}
-
-TEST(Simulator, MultiRunSharesBaseline) {
-  const std::vector<SteeringConfig> cfgs = {steering_888(), steering_ir()};
-  const MultiRun run = run_app_configs(spec_profile("gzip"), cfgs, 10000);
-  ASSERT_EQ(run.configs.size(), 2u);
-  EXPECT_EQ(run.configs[0].config, "8_8_8");
-  EXPECT_EQ(run.configs[1].config, "8_8_8+BR+LR+CR+CP+IR");
-  EXPECT_EQ(run.baseline.uops, run.configs[0].uops);
-}
-
-TEST(Simulator, SpecSuiteCoversAllApps) {
-  const auto runs = run_spec_suite(steering_888(), 5000);
-  ASSERT_EQ(runs.size(), 12u);
-  std::set<std::string> names;
-  for (const auto& r : runs) names.insert(r.app);
-  EXPECT_EQ(names.size(), 12u);
 }
 
 TEST(Simulator, DescribeMachineMentionsTable1Parameters) {

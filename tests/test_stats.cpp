@@ -106,11 +106,5 @@ TEST(Histogram, WeightedAdd) {
   EXPECT_EQ(h.bin(1), 10u);
 }
 
-TEST(Geomean, Basics) {
-  EXPECT_DOUBLE_EQ(geomean({}), 0.0);
-  EXPECT_NEAR(geomean({2.0, 8.0}), 4.0, 1e-9);
-  EXPECT_NEAR(geomean({1.0, 1.0, 1.0}), 1.0, 1e-12);
-}
-
 }  // namespace
 }  // namespace hcsim

@@ -54,7 +54,7 @@ TEST(Streaming, SimulateStreamedMatchesMaterialized) {
   for (const MachineConfig& cfg :
        {monolithic_baseline(), helper_machine(steering_ir())}) {
     const SimResult materialized = simulate(cfg, cached_trace(prof, kLen));
-    const SimResult streamed = simulate_streamed(cfg, prof, kLen);
+    const SimResult streamed = simulate(cfg, *open_workload_cursor(prof, kLen));
     EXPECT_TRUE(materialized == streamed);
   }
 }
@@ -63,7 +63,7 @@ TEST(Streaming, SimulateStreamedMatchesMaterializedRvKernel) {
   const WorkloadProfile prof = rv::rv_workload_profile("strlen");
   const MachineConfig cfg = helper_machine(steering_888_br_lr_cr());
   const SimResult materialized = simulate(cfg, cached_trace(prof, kLen));
-  const SimResult streamed = simulate_streamed(cfg, prof, kLen);
+  const SimResult streamed = simulate(cfg, *open_workload_cursor(prof, kLen));
   EXPECT_TRUE(materialized == streamed);
 }
 

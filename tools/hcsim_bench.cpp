@@ -16,7 +16,7 @@
 //   hcsim_bench [--uops N] [--reps N] [--label S] [--json FILE]
 //
 // Defaults: 100000 µops, 5 repetitions; the best rep wins, whatever --reps
-// says (matching bench_sim_throughput's BM_PipelineBaseline/100000).
+// says.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -111,7 +111,7 @@ int main(int argc, char** argv) {
     if (r.final_tick == 0) std::abort();
   });
   const double streamed = best_items_per_sec(n_uops, reps, [&] {
-    SimResult r = simulate_streamed(baseline, prof, n_uops);
+    SimResult r = simulate(baseline, *open_workload_cursor(prof, n_uops));
     if (r.final_tick == 0) std::abort();
   });
 

@@ -1,5 +1,6 @@
-// hcsim_run — simulate a saved trace (or a named profile) on a steering
-// configuration and print the full result, including the power report.
+// hcsim_run — simulate a saved trace (or a SPEC Int 2000 profile) on a
+// steering configuration and print the full result, including the power
+// report.
 //
 // Usage:
 //   hcsim_run <trace.hctrace|profile-name> [scheme] [n_uops]
@@ -10,7 +11,8 @@
 // --verbose additionally dumps every raw event counter (bb_cache_*,
 // issue_*, rf_write_*, ...) after the summary.
 //
-// scheme: baseline 888 br lr cr cp ir irn      (default: ir)
+// scheme: baseline 888 br lr cr cp ir irn      (default: ir; any other
+// name is a usage error, exit 2)
 //
 // Sampling: --sampled switches to warm-up/measure windowed simulation
 // (defaults warmup=20000 measure=80000, period auto ~20 windows) and prints
@@ -22,6 +24,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -35,15 +38,21 @@ using namespace hcsim;
 
 namespace {
 
-SteeringConfig scheme_by_name(const std::string& s) {
-  if (s == "baseline") return steering_baseline();
-  if (s == "888") return steering_888();
-  if (s == "br") return steering_888_br();
-  if (s == "lr") return steering_888_br_lr();
-  if (s == "cr") return steering_888_br_lr_cr();
-  if (s == "cp") return steering_cp();
-  if (s == "irn") return steering_ir_nodest();
-  return steering_ir();
+struct NamedScheme {
+  const char* name;
+  SteeringConfig (*make)();
+};
+constexpr NamedScheme kSchemes[] = {
+    {"baseline", steering_baseline}, {"888", steering_888},
+    {"br", steering_888_br},         {"lr", steering_888_br_lr},
+    {"cr", steering_888_br_lr_cr},   {"cp", steering_cp},
+    {"ir", steering_ir},             {"irn", steering_ir_nodest},
+};
+
+std::optional<SteeringConfig> scheme_by_name(const std::string& s) {
+  for (const NamedScheme& scheme : kSchemes)
+    if (s == scheme.name) return scheme.make();
+  return std::nullopt;
 }
 
 bool is_spec_name(const std::string& s) {
@@ -138,8 +147,15 @@ int main(int argc, char** argv) {
   if (positional.empty() || positional.size() > 3) return usage(argv[0]);
 
   const std::string source = positional[0];
-  const SteeringConfig steer =
-      scheme_by_name(positional.size() > 1 ? positional[1] : "ir");
+  const std::string scheme = positional.size() > 1 ? positional[1] : "ir";
+  const std::optional<SteeringConfig> steer = scheme_by_name(scheme);
+  if (!steer) {
+    std::string names;
+    for (const NamedScheme& s : kSchemes) names += std::string(" ") + s.name;
+    std::fprintf(stderr, "unknown scheme '%s' (one of:%s)\n", scheme.c_str(),
+                 names.c_str());
+    return 2;
+  }
   const u64 n = positional.size() > 2
                     ? parse_flag_u64("n_uops", positional[2].c_str(), 1)
                     : default_trace_len();
@@ -149,11 +165,12 @@ int main(int argc, char** argv) {
     return 2;
   }
   const MachineConfig cfg =
-      steer.helper_enabled ? helper_machine(steer) : monolithic_baseline();
+      steer->helper_enabled ? helper_machine(*steer) : monolithic_baseline();
   std::printf("%s", describe_machine(cfg).c_str());
 
-  // The trace source: a SPEC/rv profile routes through the cached/streamed
-  // trace machinery; anything else must be a readable .hctrace file.
+  // The trace source: a SPEC Int 2000 profile name routes through the
+  // cached/streamed trace machinery; anything else must be a readable
+  // .hctrace file (an RV kernel runs through `hcrv run` instead).
   const bool from_profile = is_spec_name(source);
   Trace owned;
   if (!from_profile && !load_trace(owned, source)) {
